@@ -1,6 +1,7 @@
 """The derivative of the solution in the driving path.
 
-Each column of the kernel solves a linear elliptic equation; pairing rows
+The kernel solves a linear elliptic equation (one tridiagonal system for all
+columns at once); pairing rows
 against increments of a direction gives directional derivatives (checked
 against central finite differences of the full solve), and for fBm drivers
 the rows are Malliavin derivatives whose |H|-norm and Skorohod/trace

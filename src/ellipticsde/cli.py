@@ -2,8 +2,9 @@
 
 Subcommands: solve, malliavin, density, convergence, fbm-sample. Every run
 writes CSV data files plus one JSON summary (config echo, seeds, diagnostics)
-into --out. Exit codes: 0 success, 2 invalid configuration, 3 solver
-divergence outside Monte Carlo mode.
+into --out. Exit codes: 0 success, 2 invalid configuration (including
+parameters outside the supported regime, such as H <= 1/2 for |H| norms),
+3 solver divergence outside Monte Carlo mode.
 """
 
 import argparse
@@ -15,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .coefficients import parse_sigma
-from .cutoff import CutoffSpec, norm_power
-from .errors import ConfigError, DivergenceError, InvalidInputError
+from .cutoff import CutoffSpec
+from .errors import ConfigError, DivergenceError, InvalidInputError, UnsupportedParameterError
 from .experiments import (
     build_experiment_config,
     convergence_study,
@@ -83,7 +84,7 @@ def _problem_from_args(args):
     return spec, cfg, sigma, x, driver
 
 
-def _solve_summary(args, spec, cfg, sigma, x, sol, driver):
+def _solve_summary(args, spec, cfg, sigma, sol, driver):
     kappa_norm = holder_norm(sol.z, cfg.kappa).norm
     return {
         "config": {
@@ -100,7 +101,7 @@ def _solve_summary(args, spec, cfg, sigma, x, sol, driver):
         "norms": {
             "kappa_norm": kappa_norm,
             "sup_norm": float(np.max(np.abs(sol.z.values))),
-            "norm_power": norm_power(x, spec),
+            "norm_power": sol.norm_power,
             "in_ball": bool(kappa_norm <= cfg.ball_radius),
         },
         "smallness": sigma.smallness_report(spec.level),
@@ -117,7 +118,7 @@ def _cmd_solve(args) -> int:
         print(f"solver diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     sol.z.to_csv(out / "solution.csv")
-    _write_json(out / "solve.json", _solve_summary(args, spec, cfg, sigma, x, sol, driver))
+    _write_json(out / "solve.json", _solve_summary(args, spec, cfg, sigma, sol, driver))
     print(f"wrote {out / 'solution.csv'} and {out / 'solve.json'}")
     return EXIT_OK
 
@@ -138,6 +139,8 @@ def _fd_check(sol, kernel, x, sigma, spec, cfg, t_nodes):
 
 
 def _cmd_malliavin(args) -> int:
+    if args.H <= 0.5:
+        raise UnsupportedParameterError(f"|H| norms need H > 1/2, got H={args.H}")
     spec, cfg, sigma, x, driver = _problem_from_args(args)
     t_nodes = [float(t) for t in args.t.split(",")]
     out = Path(args.out)
@@ -145,6 +148,7 @@ def _cmd_malliavin(args) -> int:
     try:
         sol = solve_elliptic(x, sigma, spec, cfg)
         kernel = malliavin_kernel(sol, x, sigma, spec, cfg)
+        fd_check_error = _fd_check(sol, kernel, x, sigma, spec, cfg, t_nodes)
     except DivergenceError as exc:
         print(f"solver diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -157,10 +161,10 @@ def _cmd_malliavin(args) -> int:
             "strato": asdict(strato),
             "sign_pattern": sign_pattern(kernel, t),
         }
-    summary = _solve_summary(args, spec, cfg, sigma, x, sol, driver)
+    summary = _solve_summary(args, spec, cfg, sigma, sol, driver)
     summary["hurst"] = args.H
     summary["per_t"] = per_t
-    summary["fd_check_error"] = _fd_check(sol, kernel, x, sigma, spec, cfg, t_nodes)
+    summary["fd_check_error"] = fd_check_error
     _write_json(out / "malliavin.json", summary)
     print(f"wrote {out / 'kernel.csv'} and {out / 'malliavin.json'}")
     return EXIT_OK
@@ -291,7 +295,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidInputError, FileNotFoundError) as exc:
+    except (ConfigError, InvalidInputError, UnsupportedParameterError, FileNotFoundError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

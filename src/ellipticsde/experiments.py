@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .coefficients import parse_sigma
-from .cutoff import CutoffSpec, norm_power
+from .cutoff import CutoffSpec
 from .errors import ConfigError, DivergenceError
 from .fbm import FbmConfig, sample_fbm
 from .grid import GridFunction
@@ -86,8 +86,9 @@ def density_experiment(cfg: ExperimentConfig) -> DensityReport:
     """Run the Monte Carlo density study.
 
     Requires a nondegenerate coefficient (declared lower bound > 0) and the
-    garsia cutoff flavor in the Malliavin-admissible regime. Solver
-    divergences are counted and excluded, never silently dropped.
+    garsia cutoff flavor in the Malliavin-admissible regime. A sample whose
+    solve or derivative kernel diverges is counted in n_diverged and
+    excluded, never silently dropped.
     """
     sigma = parse_sigma(cfg.sigma)
     if sigma.lower_bound is None or sigma.lower_bound <= 0:
@@ -119,12 +120,16 @@ def density_experiment(cfg: ExperimentConfig) -> DensityReport:
         if abs(zt) < cfg.a:
             n_below += 1
             continue
+        try:
+            kernel = malliavin_kernel(sol, path, sigma, cfg.cutoff, cfg.solver)
+        except DivergenceError:
+            n_diverged += 1
+            continue
         n_omega += 1
         z_values.append(zt)
-        kernel = malliavin_kernel(sol, path, sigma, cfg.cutoff, cfg.solver)
         norms.append(derivative_norm(kernel, cfg.t_eval, cfg.fbm.hurst))
         cutoffs.append(sol.cutoff_value)
-        powers.append(norm_power(path, cfg.cutoff))
+        powers.append(sol.norm_power)
 
     if z_values:
         counts, edges = np.histogram(np.asarray(z_values), bins=40)

@@ -4,8 +4,10 @@ The Frechet/Malliavin derivative is represented by a two-parameter kernel
 Phi_s(t): pairing the s-slot against increments of a direction h gives the
 directional derivative of the solution map, and for fBm drivers the row
 s -> Phi_s(t) is the Malliavin derivative of z_t, whose |H|-norm feeds the
-density experiment. Each column solves the linear elliptic equation with the
-forcing term built from the Green kernel and the cutoff's derivative kernel.
+density experiment. The kernel solves one linear elliptic equation, with
+the forcing term built from the Green kernel and the cutoff's derivative
+kernel; on the grid that equation is a single symmetric tridiagonal system
+whose n+1 right-hand sides (one per node s) are solved together.
 """
 
 from dataclasses import dataclass, field
@@ -15,14 +17,14 @@ import numpy as np
 from .coefficients import Coefficient
 from .cutoff import (
     CutoffSpec,
-    cutoff_prime,
     garsia_grad_kernel,
+    smooth_cutoff_prime,
     sobolev_grad_kernel,
 )
-from .errors import DivergenceError, InvalidInputError
+from .errors import InvalidInputError
 from .fbm import fractional_inner_product, kernel_cell_masses
 from .grid import GridFunction
-from .solver import Solution, SolverConfig, _solve_linear_values, green_weights
+from .solver import Solution, SolverConfig, _green_linear_solve
 from .young import green_kernel, kernel_integral
 
 __all__ = [
@@ -80,17 +82,22 @@ def _grad_kernel(x: GridFunction, spec: CutoffSpec) -> tuple[GridFunction, float
 def _forcing_matrix(
     z: Solution, x: GridFunction, sigma: Coefficient, spec: CutoffSpec
 ) -> np.ndarray:
-    """Forcing term Psi[i, j] = G sigma(z_{s_i}) K(t_j, s_i) + c phi' m_{s_i} z_{t_j}."""
+    """Forcing term Psi[i, j] = G sigma(z_{s_i}) K(t_j, s_i) + c phi' m_{s_i} z_{t_j}.
+
+    phi' is the cutoff's derivative at the norm power stored on z, which
+    must be the solution for the driving path x. The array is laid out with
+    t along rows in memory (Psi.T is C-contiguous), the layout the kernel
+    solve sweeps over.
+    """
     nodes = x.nodes
-    G = z.cutoff_value
     sig = np.asarray(sigma.fn(z.z.values), dtype=float)
-    K = green_kernel(nodes[None, :], nodes[:, None])  # K[i, j] = K(t_j, s_i)
-    psi = G * sig[:, None] * K
-    phi_p = cutoff_prime(x, spec)
+    psi_t = green_kernel(nodes[:, None], nodes[None, :])  # symmetric: K(t_j, s_i)
+    psi_t *= (z.cutoff_value * sig)[None, :]
+    phi_p = smooth_cutoff_prime(z.norm_power, spec.level)
     if phi_p != 0.0:
         m, const = _grad_kernel(x, spec)
-        psi = psi + const * phi_p * np.outer(m.values, z.z.values)
-    return psi
+        psi_t += const * phi_p * np.outer(z.z.values, m.values)
+    return psi_t.T
 
 
 def forcing_kernel(
@@ -104,7 +111,7 @@ def forcing_kernel(
     i, j = x.node_index(s), x.node_index(t)
     G = z.cutoff_value
     value = G * float(sigma.fn(np.array([z.z.values[i]]))[0]) * green_kernel(t, s)
-    phi_p = cutoff_prime(x, spec)
+    phi_p = smooth_cutoff_prime(z.norm_power, spec.level)
     if phi_p != 0.0:
         m, const = _grad_kernel(x, spec)
         value += const * phi_p * m.values[i] * z.z.values[j]
@@ -122,23 +129,14 @@ def malliavin_kernel(
 
         Phi_s(t) = Psi_s(t) + G * int_0^1 K(t,xi) sigma'(z_xi) Phi_s(xi) dx_xi.
 
-    The Green-kernel Young weights are computed once and shared by all n+1
-    independent linear solves. Divergence of any column is re-raised with the
-    offending s attached.
+    All n+1 equations share one tridiagonal system, factored once and solved
+    for every s together; a system that is not positive definite raises
+    :class:`DivergenceError`. The solve is direct, so cfg's tolerance and
+    iteration limit do not enter.
     """
     psi = _forcing_matrix(z, x, sigma, spec)
-    weights = green_weights(x)
-    G = z.cutoff_value
-    # y = w - G W (R y) with R = -sigma'(z) realizes the + sign above
-    r = -np.asarray(sigma.d1(z.z.values), dtype=float)
-    values = np.empty_like(psi)
-    for i in range(x.n + 1):
-        try:
-            values[i], _ = _solve_linear_values(psi[i], r, weights, G, x.n, cfg)
-        except DivergenceError as exc:
-            raise DivergenceError(
-                f"derivative column s={i / x.n} diverged: {exc}", exc.ratio_history
-            ) from exc
+    rate = np.asarray(sigma.d1(z.z.values), dtype=float)
+    values = _green_linear_solve(psi.T, rate, x, z.cutoff_value).T
     return DerivativeKernel(n=x.n, values=values, flavor=spec.flavor)
 
 

@@ -1,16 +1,22 @@
-"""Fixed-point solvers for the localized elliptic equation.
+"""Solvers for the localized elliptic equation and its linearization.
 
 The nonlinear equation is solved as the fixed point of the Picard map of its
 compact Green-kernel form z_t = G * int_0^1 K(t,xi) sigma(z_xi) dx_xi, with
-all Young integrals as left-point sums; the linear equation of the derivative
-theory uses the same machinery with an affine map. The incremental
-formulation of the Picard map (suffix-accumulated, O(n) per application) is
-exposed as :func:`picard_map` and agrees with the compact form up to
-(1/2n) * int_0^t sigma_M(z) dx, which the equivalence tests exercise.
+all Young integrals as left-point sums. Iterations stop when the discrete
+kappa-Holder norm of successive differences drops below tolerance;
+persistent ratio >= 1 or iteration exhaustion raises
+:class:`DivergenceError` carrying the ratio history. Each application of the
+map costs O(n): the Green sum splits into two prefix sums.
 
-Iterations stop when the discrete kappa-Holder norm of successive differences
-drops below tolerance; persistent ratio >= 1 or iteration exhaustion raises
-:class:`DivergenceError` carrying the ratio history.
+The linear equation of the derivative theory, y = w + G K(rate y), needs no
+iteration. On interior nodes the left-point Green weights equal (nT)^{-1},
+T = tridiag(-1, 2, -1), so the equation is one symmetric tridiagonal system,
+solved by an LDL^T sweep for any number of right-hand sides at once.
+
+The incremental formulation of the Picard map (suffix-accumulated, O(n) per
+application) is exposed as :func:`picard_map` and agrees with the compact
+form up to (1/2n) * int_0^t sigma_M(z) dx, which the equivalence tests
+exercise.
 """
 
 import logging
@@ -19,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import Coefficient
-from .cutoff import CutoffSpec, cutoff_value
+from .cutoff import CutoffSpec, cutoff_value, norm_power, smooth_cutoff
 from .errors import DivergenceError, InvalidInputError
 from .grid import GridFunction, _trapezoid_prefix, holder_norm
-from .young import green_kernel
 
 __all__ = ["SolverConfig", "Solution", "picard_map", "solve_elliptic", "solve_linear"]
 
@@ -55,13 +60,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Solution:
-    """Solution path plus convergence diagnostics."""
+    """Solution path plus convergence diagnostics.
+
+    norm_power is the cutoff's argument for the driving path and
+    cutoff_value = smooth_cutoff(norm_power, level).
+    """
 
     z: GridFunction
     iterations: int
     contraction_ratio: float
     residual: float
     cutoff_value: float
+    norm_power: float
 
 
 def _check_exponents(spec: CutoffSpec, cfg: SolverConfig):
@@ -70,16 +80,6 @@ def _check_exponents(spec: CutoffSpec, cfg: SolverConfig):
             f"need gamma + kappa > 1 for Young integrability, got "
             f"{spec.gamma} + {cfg.kappa}"
         )
-
-
-def green_weights(x: GridFunction) -> np.ndarray:
-    """Matrix W[i,j] = K(t_i, xi_j) (x_{j+1} - x_j) of left-point Young weights.
-
-    Applying W to the vector of integrand values at left nodes evaluates
-    int_0^1 K(t_i, xi) v_xi dx_xi simultaneously for every node t_i.
-    """
-    nodes = x.nodes
-    return green_kernel(nodes[:, None], nodes[None, :-1]) * np.diff(x.values)[None, :]
 
 
 def picard_map(
@@ -106,31 +106,69 @@ def picard_map(
     return GridFunction(z.n, outer - z.nodes * drift)
 
 
-def _iterate(apply_map, z0: np.ndarray, n: int, cfg: SolverConfig, what: str):
-    """Shared fixed-point driver with kappa-norm stopping and ratio tracking."""
-    z = z0
-    diffs: list[float] = []
-    ratios: list[float] = []
-    for it in range(1, cfg.max_iters + 1):
-        z_new = apply_map(z)
-        d = holder_norm(GridFunction(n, z_new - z), cfg.kappa).norm
-        if diffs:
-            ratios.append(d / diffs[-1])
-        diffs.append(d)
-        z = z_new
-        if d < cfg.tol:
-            return z, it, ratios
-        if len(ratios) >= 2 and ratios[-1] >= 1.0 and ratios[-2] >= 1.0:
+def _green_apply(x: GridFunction, f: np.ndarray) -> np.ndarray:
+    """int_0^1 K(t_i, xi) f_xi dx_xi at every node t_i, from the n left-point
+    values f_0..f_{n-1}, in O(n) time and memory.
+
+    With c_j = f_j (x_{j+1} - x_j), K(t_i, t_j) = t_j (1 - t_i) for j <= i
+    and t_i (1 - t_j) for j > i give
+    u_i = (1 - t_i) sum_{j<=i} t_j c_j + t_i sum_{j>i} (1 - t_j) c_j.
+    """
+    t = x.nodes
+    c = f * np.diff(x.values)
+    lower = np.concatenate((np.cumsum(t[:-1] * c), [0.0]))
+    tail = np.cumsum(((1.0 - t[:-1]) * c)[::-1])[::-1]  # tail[i] = sum_{j>=i}
+    upper = np.concatenate((tail[1:], [0.0, 0.0]))
+    return (1.0 - t) * lower + t * upper
+
+
+def _green_linear_solve(w: np.ndarray, rate: np.ndarray, x: GridFunction, G: float) -> np.ndarray:
+    """Solve y_t = w_t + G * int_0^1 K(t,xi) rate_xi y_xi dx_xi directly.
+
+    w holds node values along axis 0, one column per right-hand side. On
+    interior nodes the left-point Green weights are K(t_i, t_j) = (nT)^{-1}
+    with T = tridiag(-1, 2, -1), and K vanishes on the boundary, so with
+    D = diag(G rate_j (x_{j+1} - x_j)) the correction delta = y - w solves
+    the tridiagonal system (nT - D) delta = D w on interior nodes, while the
+    boundary rows keep y = w. The LDL^T sweep runs without pivoting, which is
+    stable for symmetric positive definite systems. A pivot <= 0 raises
+    :class:`DivergenceError`: the system is then not positive definite, so
+    (nT)^{-1} D has an eigenvalue >= 1 and the Picard iteration of the
+    equation would not contract either.
+    """
+    n = x.n
+    w = np.asarray(w, dtype=float)
+    cols = w.reshape(n + 1, -1)
+    d = G * rate[1:-1] * np.diff(x.values)[1:]
+    pivots = []
+    pivot = np.inf  # the first interior row has no coupling above it
+    for k, dk in enumerate(d.tolist()):
+        pivot = 2.0 * n - dk - n * n / pivot
+        if not pivot > 0.0:
             raise DivergenceError(
-                f"{what}: successive differences stopped contracting "
-                f"(ratios {ratios[-2]:.3g}, {ratios[-1]:.3g})",
-                ratios,
+                f"linear Green equation is not positive definite: pivot {pivot:.3g} "
+                f"at node {(k + 1) / n}"
             )
-    raise DivergenceError(
-        f"{what}: no convergence within {cfg.max_iters} iterations "
-        f"(last difference {diffs[-1]:.3g})",
-        ratios,
-    )
+        pivots.append(pivot)
+    pivots = np.asarray(pivots)
+    # nT - D = L P L^T, L unit lower bidiagonal with subdiagonal -n / p_{k-1}.
+    # Forward, g = P^{-1} L^{-1} (D w): g_k = (D w)_k / p_k + (n / p_k) g_{k-1}.
+    # Backward, delta = L^{-T} g: delta_k = g_k + (n / p_k) delta_{k+1}.
+    # Both sweeps run over the rows in place, vectorised over the columns.
+    delta = np.empty_like(cols, order="C")
+    delta[[0, -1]] = 0.0
+    np.multiply((d / pivots)[:, None], cols[1:-1], out=delta[1:-1])
+    rows = list(delta[1:-1])
+    scale = (n / pivots).tolist()
+    carry = np.empty(cols.shape[1])
+    for k in range(1, n - 1):
+        np.multiply(rows[k - 1], scale[k], out=carry)
+        rows[k] += carry
+    for k in range(n - 3, -1, -1):
+        np.multiply(rows[k + 1], scale[k], out=carry)
+        rows[k] += carry
+    delta += cols
+    return delta.reshape(w.shape)
 
 
 def solve_elliptic(
@@ -139,8 +177,11 @@ def solve_elliptic(
     """Solve z_t = G * int_0^1 K(t,xi) sigma(z_xi) dx_xi by Picard iteration.
 
     Starts from z == 0, stops when the kappa-norm of successive differences
-    falls below cfg.tol. The residual reported is the sup-norm defect of the
-    compact equation at the returned iterate.
+    falls below cfg.tol; persistent ratio >= 1 or iteration exhaustion raises
+    :class:`DivergenceError` carrying the ratio history. The residual
+    reported is the sup-norm defect of the compact equation at the returned
+    iterate. The cutoff's norm power is evaluated once and kept on the
+    solution, for the derivative kernel and reports.
     """
     _check_exponents(spec, cfg)
     report = sigma.smallness_report(spec.level)
@@ -150,13 +191,36 @@ def solve_elliptic(
             "(margins %s); relying on observed contraction",
             report["margins"],
         )
-    G = cutoff_value(x, spec)
-    weights = green_weights(x)
+    U = norm_power(x, spec)
+    G = float(smooth_cutoff(U, spec.level))
 
     def apply_map(zv):
-        return G * (weights @ np.asarray(sigma.fn(zv[:-1]), dtype=float))
+        return G * _green_apply(x, np.asarray(sigma.fn(zv[:-1]), dtype=float))
 
-    zv, iterations, ratios = _iterate(apply_map, np.zeros(x.n + 1), x.n, cfg, "solve_elliptic")
+    zv = np.zeros(x.n + 1)
+    diffs: list[float] = []
+    ratios: list[float] = []
+    for iterations in range(1, cfg.max_iters + 1):
+        z_new = apply_map(zv)
+        d = holder_norm(GridFunction(x.n, z_new - zv), cfg.kappa).norm
+        if diffs:
+            ratios.append(d / diffs[-1])
+        diffs.append(d)
+        zv = z_new
+        if d < cfg.tol:
+            break
+        if len(ratios) >= 2 and ratios[-1] >= 1.0 and ratios[-2] >= 1.0:
+            raise DivergenceError(
+                f"solve_elliptic: successive differences stopped contracting "
+                f"(ratios {ratios[-2]:.3g}, {ratios[-1]:.3g})",
+                ratios,
+            )
+    else:
+        raise DivergenceError(
+            f"solve_elliptic: no convergence within {cfg.max_iters} iterations "
+            f"(last difference {diffs[-1]:.3g})",
+            ratios,
+        )
     residual = float(np.max(np.abs(zv - apply_map(zv))))
     z = GridFunction(x.n, zv)
     z_norm = holder_norm(z, cfg.kappa).norm
@@ -168,24 +232,8 @@ def solve_elliptic(
         contraction_ratio=max(ratios) if ratios else 0.0,
         residual=residual,
         cutoff_value=G,
+        norm_power=U,
     )
-
-
-def _solve_linear_values(
-    w: np.ndarray,
-    r: np.ndarray,
-    weights: np.ndarray,
-    G: float,
-    n: int,
-    cfg: SolverConfig,
-) -> tuple[np.ndarray, int]:
-    """Fixed point of y = w - G * W (r y) starting from y = w."""
-
-    def apply_map(yv):
-        return w - G * (weights @ (r[:-1] * yv[:-1]))
-
-    yv, iterations, _ = _iterate(apply_map, w.copy(), n, cfg, "solve_linear")
-    return yv, iterations
 
 
 def solve_linear(
@@ -197,9 +245,11 @@ def solve_linear(
 ) -> GridFunction:
     """Solve the linear equation y_t = w_t - G * int_0^1 K(t,xi) R_xi y_xi dx_xi.
 
-    The kappa-norm of R should sit below 1/(level+1) for the contraction
-    argument; the check is logged, not enforced. The output satisfies the
-    stability bound |y|_kappa <= c(level) |w|_kappa, reported as a ratio.
+    Solved directly as one tridiagonal system; raises :class:`DivergenceError`
+    when that system is not positive definite. The kappa-norm of R should sit
+    below 1/(level+1) for the contraction argument; the check is logged, not
+    enforced. The output satisfies the stability bound
+    |y|_kappa <= c(level) |w|_kappa, reported as a ratio.
     """
     if not (w.n == R.n == x.n):
         raise InvalidInputError("w, R and x must share one grid")
@@ -212,9 +262,7 @@ def solve_linear(
             1.0 / (spec.level + 1.0),
         )
     G = cutoff_value(x, spec)
-    weights = green_weights(x)
-    yv, _ = _solve_linear_values(w.values, R.values, weights, G, x.n, cfg)
-    y = GridFunction(x.n, yv)
+    y = GridFunction(x.n, _green_linear_solve(w.values, -R.values, x, G))
     w_norm = holder_norm(w, cfg.kappa).norm
     if w_norm > 0:
         logger.debug("stability ratio |y|_kappa / |w|_kappa = %.3g",

@@ -1,0 +1,67 @@
+"""Reference implementations the fast paths are checked against.
+
+These are the dense and iterative formulations the library replaced: the
+(n+1) x n matrix of left-point Green weights, and the column-by-column
+Picard solve of the derivative-kernel equation with its kappa-norm stopping
+rule. They are slow (O(n^2) memory, O(n^3) time for a kernel) and exist only
+for the tests.
+"""
+
+import numpy as np
+
+from ellipticsde import DivergenceError, GridFunction, green_kernel, holder_norm
+from ellipticsde.cutoff import cutoff_prime
+from ellipticsde.malliavin import _grad_kernel
+
+
+def green_weights(x: GridFunction) -> np.ndarray:
+    """Matrix W[i,j] = K(t_i, xi_j) (x_{j+1} - x_j) of left-point Young weights.
+
+    Applying W to the vector of integrand values at left nodes evaluates
+    int_0^1 K(t_i, xi) v_xi dx_xi simultaneously for every node t_i.
+    """
+    nodes = x.nodes
+    return green_kernel(nodes[:, None], nodes[None, :-1]) * np.diff(x.values)[None, :]
+
+
+def _iterate(apply_map, z0, n, cfg, what):
+    """Fixed-point driver with kappa-norm stopping and ratio tracking."""
+    z = z0
+    diffs, ratios = [], []
+    for it in range(1, cfg.max_iters + 1):
+        z_new = apply_map(z)
+        d = holder_norm(GridFunction(n, z_new - z), cfg.kappa).norm
+        if diffs:
+            ratios.append(d / diffs[-1])
+        diffs.append(d)
+        z = z_new
+        if d < cfg.tol:
+            return z, it, ratios
+        if len(ratios) >= 2 and ratios[-1] >= 1.0 and ratios[-2] >= 1.0:
+            raise DivergenceError(f"{what}: successive differences stopped contracting", ratios)
+    raise DivergenceError(f"{what}: no convergence within {cfg.max_iters} iterations", ratios)
+
+
+def picard_kernel(z, x, sigma, spec, cfg) -> np.ndarray:
+    """Derivative kernel by n+1 independent Picard solves of
+    Phi_s = Psi_s + G W (sigma'(z) Phi_s), one per node s, each started at
+    Phi_s = Psi_s. The forcing term re-evaluates the cutoff's derivative on
+    the path x."""
+    nodes = x.nodes
+    G = z.cutoff_value
+    sig = np.asarray(sigma.fn(z.z.values), dtype=float)
+    psi = G * sig[:, None] * green_kernel(nodes[None, :], nodes[:, None])
+    phi_p = cutoff_prime(x, spec)
+    if phi_p != 0.0:
+        m, const = _grad_kernel(x, spec)
+        psi = psi + const * phi_p * np.outer(m.values, z.z.values)
+    weights = green_weights(x)
+    r = -np.asarray(sigma.d1(z.z.values), dtype=float)
+    values = np.empty_like(psi)
+    for i in range(x.n + 1):
+
+        def apply_map(yv, w=psi[i]):
+            return w - G * (weights @ (r[:-1] * yv[:-1]))
+
+        values[i], _, _ = _iterate(apply_map, psi[i].copy(), x.n, cfg, f"column s={i / x.n}")
+    return values

@@ -37,7 +37,7 @@ from ellipticsde import (
     young_integral,
 )
 from ellipticsde.fbm import _cholesky_factor
-from ellipticsde.solver import green_weights
+from oracles import green_weights
 
 
 def _report(num: int, label: str, passed: bool, detail: str):

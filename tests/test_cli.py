@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ellipticsde import DivergenceError, cli
 from ellipticsde.cli import main
 
 
@@ -123,3 +124,40 @@ def test_convergence_cli(tmp_path):
     assert len(table["rows"]) == 3
     lines = (out / "convergence.csv").read_text().splitlines()
     assert lines[0] == "n,value"
+
+
+def test_malliavin_low_hurst_is_config_error_before_output(tmp_path):
+    out = tmp_path / "mall"
+    rc = main(
+        [
+            "malliavin", "--n", "64", "--path", "fbm:0.75:2", "--sigma", "tanh:0.05,0.02",
+            "--M", "1000", "--H", "0.5", "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert not (out / "kernel.csv").exists()
+    assert not (out / "malliavin.json").exists()
+
+
+def test_malliavin_fd_check_divergence_exit_code(tmp_path, monkeypatch):
+    # the base solve converges; the perturbed solves of the fd check diverge
+    real = cli.solve_elliptic
+    calls = []
+
+    def diverge_after_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 1:
+            raise DivergenceError("forced divergence")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_elliptic", diverge_after_first)
+    out = tmp_path / "mall"
+    rc = main(
+        [
+            "malliavin", "--n", "64", "--path", "fbm:0.75:2", "--sigma", "tanh:0.05,0.02",
+            "--M", "1000", "--H", "0.75", "--out", str(out),
+        ]
+    )
+    assert rc == 3
+    assert len(calls) == 2
+    assert not (out / "malliavin.json").exists()

@@ -4,6 +4,7 @@ import pytest
 from ellipticsde import (
     ConfigError,
     CutoffSpec,
+    DivergenceError,
     ExperimentConfig,
     FbmConfig,
     GridFunction,
@@ -11,6 +12,7 @@ from ellipticsde import (
     SolverConfig,
     convergence_study,
     density_experiment,
+    experiments,
     holder_norm,
     lacunary_path,
     report_json,
@@ -163,3 +165,27 @@ def test_parse_config_file_errors(tmp_path):
         parse_config_file(bad)
     with pytest.raises(ConfigError):
         build_experiment_config({"fbm.n": "not-a-number"})
+
+
+def test_density_counts_kernel_divergence(monkeypatch):
+    # a kernel that fails on one sample is counted, and the run goes on
+    cfg = _config(n_samples=8)
+    base = density_experiment(cfg)
+    assert base.n_omega_a >= 2
+    real = experiments.malliavin_kernel
+    calls = []
+
+    def failing_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise DivergenceError("forced kernel failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "malliavin_kernel", failing_once)
+    rep = density_experiment(cfg)
+    assert rep.n_diverged == base.n_diverged + 1
+    assert rep.n_omega_a == base.n_omega_a - 1
+    assert rep.n_below_threshold == base.n_below_threshold
+    assert rep.n_total == rep.n_omega_a + rep.n_below_threshold + rep.n_diverged
+    assert len(rep.cutoff_values_omega_a) == len(rep.norm_powers_omega_a) == rep.n_omega_a
+    assert sum(rep.histogram_counts) == rep.n_omega_a

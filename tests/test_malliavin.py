@@ -9,6 +9,7 @@ from ellipticsde import (
     InvalidInputError,
     SolverConfig,
     constant_coefficient,
+    cutoff_prime,
     derivative_norm,
     directional_derivative,
     forcing_kernel,
@@ -22,7 +23,8 @@ from ellipticsde import (
     stratonovich_decomposition,
     tanh_coefficient,
 )
-from ellipticsde.solver import green_weights
+from ellipticsde.malliavin import _forcing_matrix
+from oracles import green_weights, picard_kernel
 
 INTERIOR = CutoffSpec(level=50.0, gamma=0.5, p=2, epsilon=0.3, flavor="sobolev")
 CFG = SolverConfig(kappa=0.55, tol=1e-12, max_iters=100)
@@ -267,3 +269,47 @@ def test_sign_pattern_reporting():
     assert 0.0 <= info["fraction_negative"] <= 1.0
     assert 0.0 <= info["fraction_positive"] <= 1.0
     assert info["longest_negative_interval"] is None or len(info["longest_negative_interval"]) == 2
+
+
+def _kernel_cases(flavor, n=128):
+    """(path, cutoff, kappa): an fBm path under the flavor's benchmark
+    problem (the malliavin CLI's sobolev one, the density study's garsia
+    one), and the path A t with the norm power mid-transition at level 2
+    (phi' != 0, so the m z^T forcing term and the boundary rows s=0, s=1 are
+    exercised)."""
+    x = sample_fbm(FbmConfig(hurst=0.75, n=n, seed=31))
+    if flavor == "sobolev":
+        yield x, CutoffSpec(level=1e3, gamma=0.5, p=2, epsilon=0.3, flavor=flavor), 0.55
+    else:
+        yield x, CutoffSpec(level=2.0, gamma=0.3, p=5, epsilon=0.42, flavor=flavor), 0.75
+    A = (2.5 / (1 - 1 / n)) ** 0.25 if flavor == "sobolev" else (2.5 / 0.375) ** 0.25
+    band = CutoffSpec(level=2.0, gamma=0.5, p=2, epsilon=0.3, flavor=flavor)
+    x = GridFunction.from_callable(lambda t: A * t, n)
+    assert cutoff_prime(x, band) != 0.0
+    yield x, band, 0.55
+
+
+@pytest.mark.parametrize("flavor", ["sobolev", "garsia"])
+def test_kernel_matches_picard_oracle(flavor):
+    sigma = tanh_coefficient(0.05, 0.02)
+    for x, spec, kappa in _kernel_cases(flavor):
+        cfg = SolverConfig(kappa=kappa, tol=1e-10, max_iters=200)
+        sol = solve_elliptic(x, sigma, spec, cfg)
+        kernel = malliavin_kernel(sol, x, sigma, spec, cfg)
+        oracle = picard_kernel(sol, x, sigma, spec, cfg)
+        assert np.max(np.abs(kernel.values - oracle)) <= cfg.tol
+
+
+@pytest.mark.parametrize("flavor", ["sobolev", "garsia"])
+def test_kernel_equation_residual_relative(flavor):
+    # the direct solve satisfies the dense kernel equation to rounding
+    sigma = tanh_coefficient(0.05, 0.02)
+    for x, spec, kappa in _kernel_cases(flavor):
+        cfg = SolverConfig(kappa=kappa, tol=1e-12, max_iters=100)
+        sol = solve_elliptic(x, sigma, spec, cfg)
+        kernel = malliavin_kernel(sol, x, sigma, spec, cfg).values
+        sig1 = np.asarray(sigma.d1(sol.z.values))
+        rhs = _forcing_matrix(sol, x, sigma, spec) + sol.cutoff_value * (
+            sig1[:-1] * kernel[:, :-1]
+        ) @ green_weights(x).T
+        assert np.max(np.abs(kernel - rhs)) <= 1e-12 * np.max(np.abs(kernel))

@@ -19,7 +19,8 @@ from ellipticsde import (
     tanh_coefficient,
     young_integral,
 )
-from ellipticsde.solver import green_weights
+from ellipticsde.solver import _green_apply
+from oracles import green_weights
 
 INTERIOR = CutoffSpec(level=50.0, gamma=0.5, p=2, epsilon=0.3, flavor="sobolev")
 CFG = SolverConfig(kappa=0.55, tol=1e-12, max_iters=100)
@@ -243,3 +244,26 @@ def test_solve_linear_grid_mismatch():
     x = GridFunction.from_callable(lambda t: t, 32)
     with pytest.raises(InvalidInputError):
         solve_linear(w, R, x, INTERIOR, CFG)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_green_apply_matches_dense_weights(n):
+    x = sample_fbm(FbmConfig(hurst=0.75, n=n, seed=17))
+    f = np.asarray(tanh_coefficient(0.05, 0.02).fn(np.sin(3 * x.nodes[:-1])))
+    dense = green_weights(x) @ f
+    fast = _green_apply(x, f)
+    assert fast[0] == fast[-1] == 0.0
+    assert np.max(np.abs(fast - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_solve_linear_non_spd_raises():
+    # y = w - K(R y) with R = -20 on x = t: nT - 20/n I has a negative
+    # eigenvalue (the smallest of nT is about pi^2/n), so a pivot fails
+    n = 64
+    x = GridFunction.from_callable(lambda t: t, n)
+    w = GridFunction.from_callable(lambda t: np.sin(np.pi * t), n)
+    with pytest.raises(DivergenceError, match="not positive definite"):
+        solve_linear(w, GridFunction(n, np.full(n + 1, -20.0)), x, INTERIOR, CFG)
+    # below the threshold the same system is positive definite and solves
+    y = solve_linear(w, GridFunction(n, np.full(n + 1, -5.0)), x, INTERIOR, CFG)
+    assert np.all(np.isfinite(y.values))
