@@ -12,7 +12,6 @@ from .coefficients import Coefficient, constant_coefficient, parse_sigma, tanh_c
 from .cutoff import (
     CutoffSpec,
     cutoff_derivative_forms,
-    cutoff_derivative_pairing,
     cutoff_prime,
     cutoff_value,
     garsia_functional,
@@ -51,13 +50,12 @@ from .malliavin import (
     StratoDecomposition,
     derivative_norm,
     directional_derivative,
-    forcing_kernel,
     malliavin_kernel,
     sign_pattern,
     stratonovich_decomposition,
 )
 from .solver import Solution, SolverConfig, picard_map, solve_elliptic, solve_linear
-from .young import YoungResult, fubini_check, green_kernel, kernel_integral, young_integral
+from .young import YoungResult, green_kernel, kernel_integral, young_integral
 
 __version__ = "0.1.0"
 
@@ -82,16 +80,13 @@ __all__ = [
     "constant_coefficient",
     "convergence_study",
     "cutoff_derivative_forms",
-    "cutoff_derivative_pairing",
     "cutoff_prime",
     "cutoff_value",
     "density_experiment",
     "derivative_norm",
     "directional_derivative",
     "fbm_covariance",
-    "forcing_kernel",
     "fractional_inner_product",
-    "fubini_check",
     "garsia_functional",
     "garsia_grad_kernel",
     "green_kernel",

@@ -3,8 +3,9 @@
 Subcommands: solve, malliavin, density, convergence, fbm-sample. Every run
 writes CSV data files plus one JSON summary (config echo, seeds, diagnostics)
 into --out. Exit codes: 0 success, 2 invalid configuration (including
-parameters outside the supported regime, such as H <= 1/2 for |H| norms),
-3 solver divergence outside Monte Carlo mode.
+parameters outside the supported regime, such as H <= 1/2 for |H| norms or
+an fBm covariance whose Cholesky factorization fails), 3 solver divergence
+outside Monte Carlo mode.
 """
 
 import argparse
@@ -17,8 +18,15 @@ import numpy as np
 
 from .coefficients import parse_sigma
 from .cutoff import CutoffSpec
-from .errors import ConfigError, DivergenceError, InvalidInputError, UnsupportedParameterError
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    InvalidInputError,
+    NumericalError,
+    UnsupportedParameterError,
+)
 from .experiments import (
+    CONFIG_CASTS,
     build_experiment_config,
     convergence_study,
     density_experiment,
@@ -45,18 +53,27 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _parse_list(text: str, cast, flag: str) -> list:
+    """Comma-separated flag values, a bad entry being a configuration error."""
+    try:
+        return [cast(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad {flag} value {text!r}") from exc
+
+
 def _add_problem_flags(p: argparse.ArgumentParser):
+    solver = SolverConfig()
     p.add_argument("--n", type=int, default=256, help="grid resolution")
     p.add_argument("--gamma", type=float, default=0.5, help="Holder exponent of the norm")
-    p.add_argument("--kappa", type=float, default=0.55, help="target Holder exponent")
+    p.add_argument("--kappa", type=float, default=solver.kappa, help="target Holder exponent")
     p.add_argument("--p", type=int, default=2, help="norm moment parameter")
     p.add_argument("--epsilon", type=float, default=0.3, help="regularity margin")
     p.add_argument("--M", type=float, default=2.0, help="localization level")
     p.add_argument("--cutoff", choices=["sobolev", "garsia"], default="sobolev")
     p.add_argument("--sigma", default="const:0.1", help="coefficient, e.g. const:0.1 or tanh:0.05,0.02")
     p.add_argument("--path", default="fbm:0.75:0", help="driver: CSV file or fbm:H:seed")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--tol", type=float, default=solver.tol)
+    p.add_argument("--max-iters", type=int, default=solver.max_iters)
     p.add_argument("--out", default=".", help="output directory")
 
 
@@ -142,7 +159,7 @@ def _cmd_malliavin(args) -> int:
     if args.H <= 0.5:
         raise UnsupportedParameterError(f"|H| norms need H > 1/2, got H={args.H}")
     spec, cfg, sigma, x, driver = _problem_from_args(args)
-    t_nodes = [float(t) for t in args.t.split(",")]
+    t_nodes = _parse_list(args.t, float, "--t")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -170,6 +187,7 @@ def _cmd_malliavin(args) -> int:
     return EXIT_OK
 
 
+# density flag (dest) -> config key; the flag is spelled --dest with dashes.
 _DENSITY_OVERRIDES = {
     "N": "n_samples",
     "a": "a",
@@ -215,7 +233,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = _parse_list(args.sizes, int, "--sizes")
     table = convergence_study(args.kind, sizes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -258,21 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="Monte Carlo density study")
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--N", type=int, default=None, help="number of samples")
-    p.add_argument("--a", type=float, default=None, help="exclusion radius")
-    p.add_argument("--t-eval", dest="t_eval", type=float, default=None)
-    p.add_argument("--H", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--M", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--sigma", default=None)
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    p.add_argument("--out", default=None, help="output directory")
+    for flag, key in _DENSITY_OVERRIDES.items():
+        p.add_argument(
+            "--" + flag.replace("_", "-"), dest=flag, type=CONFIG_CASTS[key], help=f"sets {key}"
+        )
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("convergence", help="refinement study with fitted slope")
@@ -295,7 +302,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidInputError, UnsupportedParameterError, FileNotFoundError) as exc:
+    except (
+        ConfigError,
+        InvalidInputError,
+        UnsupportedParameterError,
+        NumericalError,
+        FileNotFoundError,
+    ) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -6,7 +6,7 @@ explicitly; construction probes the evaluators on a dense grid so a wrong
 declaration fails fast instead of silently breaking the smallness report.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,13 +36,10 @@ class Coefficient:
     sup_bounds: tuple[float, float, float]
     lower_bound: Optional[float] = None
     label: str = "sigma"
-    _probe: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         if len(self.sup_bounds) != 3 or any(b < 0 for b in self.sup_bounds):
             raise InvalidInputError("sup_bounds must be three nonnegative reals")
-        if not self._probe:
-            return
         y = np.linspace(-_PROBE_RANGE, _PROBE_RANGE, _PROBE_POINTS)
         for j, (ev, bound) in enumerate(zip((self.fn, self.d1, self.d2), self.sup_bounds)):
             sampled = float(np.max(np.abs(np.asarray(ev(y), dtype=float))))

@@ -32,8 +32,8 @@ __all__ = [
     "cutoff_prime",
     "sobolev_grad_kernel",
     "garsia_grad_kernel",
+    "norm_power_grad_kernel",
     "cutoff_derivative_forms",
-    "cutoff_derivative_pairing",
 ]
 
 FLAVORS = ("sobolev", "garsia")
@@ -195,8 +195,8 @@ def cutoff_prime(x: GridFunction, spec: CutoffSpec) -> float:
     return float(smooth_cutoff_prime(norm_power(x, spec), spec.level))
 
 
-def _rho_matrix(x: GridFunction, gamma: float, p: int, factor: float) -> np.ndarray:
-    """Midpoint samples of factor * (x_zeta - x_eta)^{2p-1} / |zeta-eta|^{2p*gamma+2}.
+def _rho_matrix(x: GridFunction, gamma: float, p: int) -> np.ndarray:
+    """Midpoint samples of 2p (x_zeta - x_eta)^{2p-1} / |zeta-eta|^{2p*gamma+2}.
 
     Row index is the zeta cell, column index the eta cell; the diagonal is
     zeroed (it is always excluded by the band rule).
@@ -207,7 +207,7 @@ def _rho_matrix(x: GridFunction, gamma: float, p: int, factor: float) -> np.ndar
     diff = xm[:, None] - xm[None, :]
     dist = np.abs(c[:, None] - c[None, :])
     np.fill_diagonal(dist, 1.0)  # avoid 0^negative; diagonal re-zeroed below
-    rho = factor * diff ** (2 * p - 1) / dist ** (2 * p * gamma + 2)
+    rho = 2.0 * p * diff ** (2 * p - 1) / dist ** (2 * p * gamma + 2)
     np.fill_diagonal(rho, 0.0)
     return rho
 
@@ -223,7 +223,7 @@ def sobolev_grad_kernel(x: GridFunction, gamma: float, p: int) -> GridFunction:
     everywhere (the nearest admissible pair sits at separation exactly 1/n).
     """
     n = x.n
-    rho = _rho_matrix(x, gamma, p, 2.0 * p)
+    rho = _rho_matrix(x, gamma, p)
     # suffix[i, k] = sum_{j >= k} rho[i, j]
     suffix = np.cumsum(rho[:, ::-1], axis=1)[:, ::-1]
     # prefix over zeta: sum_{i < k} suffix[i, k]
@@ -234,20 +234,16 @@ def sobolev_grad_kernel(x: GridFunction, gamma: float, p: int) -> GridFunction:
     return GridFunction(n, mu / n**2)
 
 
-def garsia_grad_kernel(
-    x: GridFunction, gamma: float, p: int, factor: float | None = None
-) -> GridFunction:
+def garsia_grad_kernel(x: GridFunction, gamma: float, p: int) -> GridFunction:
     """Wedge analogue of :func:`sobolev_grad_kernel`: node values
-    int_{s/4}^{s} deta int_s^{4*eta^1} dzeta rho(zeta,eta).
+    int_{s/4}^{s} deta int_s^{4*eta^1} dzeta rho(zeta,eta), with the same
+    rho = 2p (x_zeta - x_eta)^{2p-1} / |zeta-eta|^{2p*gamma+2}.
 
-    The leading factor in rho defaults to 2p, which is the constant under
-    which pairing the kernel against dh reproduces the derivative of the
-    garsia norm power; pass factor=2p-1 for the alternate convention.
+    Pairing the kernel against dh reproduces the derivative of the garsia
+    norm power (see :func:`norm_power_grad_kernel`).
     """
     n = x.n
-    if factor is None:
-        factor = 2.0 * p
-    rho = _rho_matrix(x, gamma, p, float(factor))
+    rho = _rho_matrix(x, gamma, p)
     colsum = np.cumsum(rho, axis=0)  # colsum[i, j] = sum_{i' <= i} rho[i', j]
     c = _cell_centers(n)
     mu = np.zeros(n + 1)
@@ -265,14 +261,27 @@ def garsia_grad_kernel(
     return GridFunction(n, mu)
 
 
+def norm_power_grad_kernel(x: GridFunction, spec: CutoffSpec) -> GridFunction:
+    """The flavor's grad kernel times its pairing constant: a kernel m with
+    DU[h] ~= int_0^1 m dh for the norm power U = norm_power(x, spec).
+
+    The pairing constants are -2 for sobolev (the symmetric square counts each
+    pair twice, and mu pairs it with the opposite orientation) and +1 for
+    garsia; criterion 05 checks them against the double-integral form.
+    """
+    if spec.flavor == "sobolev":
+        mu = sobolev_grad_kernel(x, spec.gamma, spec.p)
+        return GridFunction(x.n, -2.0 * mu.values)
+    return garsia_grad_kernel(x, spec.gamma, spec.p)
+
+
 def cutoff_derivative_forms(x: GridFunction, h: GridFunction, spec: CutoffSpec):
     """Directional derivative of the cutoff along h, computed two ways.
 
     Returns (double_form, young_form):
       * double_form evaluates phi' times the double integral of
         rho * (h_zeta - h_eta) over the flavor's domain directly;
-      * young_form pairs the grad kernel against increments of h
-        (-2 phi' int mu dh for sobolev, phi' int mu~ dh for garsia).
+      * young_form is phi' int m dh, with m = :func:`norm_power_grad_kernel`.
     The two agree up to quadrature error; their gap is a consistency oracle.
     """
     if x.n != h.n:
@@ -280,23 +289,14 @@ def cutoff_derivative_forms(x: GridFunction, h: GridFunction, spec: CutoffSpec):
     n = x.n
     phi_p = cutoff_prime(x, spec)
     hm = _midpoints(h)
-    rho = _rho_matrix(x, spec.gamma, spec.p, 2.0 * spec.p)
+    rho = _rho_matrix(x, spec.gamma, spec.p)
     hdiff = hm[:, None] - hm[None, :]
-    if spec.flavor == "sobolev":
-        double = phi_p * float(np.sum(rho * hdiff)) / n**2
-        mu = sobolev_grad_kernel(x, spec.gamma, spec.p)
-        young = -2.0 * phi_p * young_integral(mu, h, 0.0, 1.0).value
-    else:
+    if spec.flavor == "garsia":
         c = _cell_centers(n)
         u = c[:, None]  # zeta (upper) cell
         v = c[None, :]  # eta (lower) cell
         wedge = (u > v) & (u < np.minimum(4 * v, 1.0))
-        double = phi_p * float(np.sum(rho[wedge] * hdiff[wedge])) / n**2
-        mu = garsia_grad_kernel(x, spec.gamma, spec.p)
-        young = phi_p * young_integral(mu, h, 0.0, 1.0).value
+        rho, hdiff = rho[wedge], hdiff[wedge]
+    double = phi_p * float(np.sum(rho * hdiff)) / n**2
+    young = phi_p * young_integral(norm_power_grad_kernel(x, spec), h, 0.0, 1.0).value
     return double, young
-
-
-def cutoff_derivative_pairing(x: GridFunction, h: GridFunction, spec: CutoffSpec) -> float:
-    """Directional derivative of the cutoff along h (double-integral form)."""
-    return cutoff_derivative_forms(x, h, spec)[0]

@@ -9,7 +9,7 @@ byte-identical output.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -29,6 +29,8 @@ __all__ = [
     "report_json",
     "convergence_study",
     "lacunary_path",
+    "DEFAULT_CONFIG",
+    "CONFIG_CASTS",
     "parse_config_file",
     "build_experiment_config",
 ]
@@ -242,25 +244,41 @@ def convergence_study(kind: str, sizes, params: dict | None = None) -> dict:
     }
 
 
-_CONFIG_KEYS = {
-    "fbm.hurst": float,
-    "fbm.n": int,
-    "fbm.seed": int,
-    "cutoff.level": float,
-    "cutoff.gamma": float,
-    "cutoff.p": int,
-    "cutoff.epsilon": float,
-    "cutoff.flavor": str,
-    "solver.kappa": float,
-    "solver.tol": float,
-    "solver.max_iters": int,
-    "solver.ball_radius": float,
-    "sigma": str,
-    "n_samples": int,
-    "t_eval": float,
-    "a": float,
-    "output_dir": str,
-}
+# Acceptance criterion 10's configuration; config files and flags override it.
+DEFAULT_CONFIG = ExperimentConfig(
+    fbm=FbmConfig(hurst=0.75, n=256, seed=0),
+    cutoff=CutoffSpec(level=2.0, gamma=0.3, p=5, epsilon=0.42, flavor="garsia"),
+    sigma="tanh:0.05,0.02",
+    solver=SolverConfig(kappa=0.75),
+)
+
+
+def _leaves(obj, prefix: str = ""):
+    """(dotted key, value) for every non-dataclass field, nested ones included."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value
+
+
+# Every config key (an ExperimentConfig field path) and the cast its values take.
+CONFIG_CASTS = {key: type(value) for key, value in _leaves(DEFAULT_CONFIG)}
+
+
+def _replace_leaves(obj, values: dict, prefix: str = ""):
+    """Copy of obj with the dotted-key values swapped in, nested dataclasses
+    rebuilt (and so re-validated) bottom up."""
+    changes = {}
+    for f in fields(obj):
+        key = prefix + f.name
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            changes[f.name] = _replace_leaves(value, values, key + ".")
+        elif key in values:
+            changes[f.name] = values[key]
+    return replace(obj, **changes)
 
 
 def parse_config_file(path) -> dict:
@@ -275,67 +293,29 @@ def parse_config_file(path) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in CONFIG_CASTS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             mapping[key] = value.strip()
     return mapping
 
 
 def build_experiment_config(mapping: dict) -> ExperimentConfig:
-    """Turn a flat dotted-key mapping into an ExperimentConfig."""
-    defaults = {
-        "fbm.hurst": 0.75,
-        "fbm.n": 256,
-        "fbm.seed": 0,
-        "cutoff.level": 2.0,
-        "cutoff.gamma": 0.3,
-        "cutoff.p": 5,
-        "cutoff.epsilon": 0.42,
-        "cutoff.flavor": "garsia",
-        "solver.kappa": 0.75,
-        "solver.tol": 1e-10,
-        "solver.max_iters": 200,
-        "solver.ball_radius": 2.0,
-        "sigma": "tanh:0.05,0.02",
-        "n_samples": 200,
-        "t_eval": 0.5,
-        "a": 0.002,
-        "output_dir": ".",
-    }
-    merged = dict(defaults)
+    """Turn a flat dotted-key mapping into an ExperimentConfig.
+
+    Keys not in the mapping, or mapped to None, keep their DEFAULT_CONFIG
+    values.
+    """
+    values = {}
     for key, value in mapping.items():
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_CASTS:
             raise ConfigError(f"unknown config key {key!r}")
         if value is None:
             continue
-        caster = _CONFIG_KEYS[key]
         try:
-            merged[key] = caster(value)
+            values[key] = CONFIG_CASTS[key](value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value {value!r} for {key}") from exc
     try:
-        return ExperimentConfig(
-            fbm=FbmConfig(
-                hurst=merged["fbm.hurst"], n=merged["fbm.n"], seed=merged["fbm.seed"]
-            ),
-            cutoff=CutoffSpec(
-                level=merged["cutoff.level"],
-                gamma=merged["cutoff.gamma"],
-                p=merged["cutoff.p"],
-                epsilon=merged["cutoff.epsilon"],
-                flavor=merged["cutoff.flavor"],
-            ),
-            sigma=merged["sigma"],
-            solver=SolverConfig(
-                kappa=merged["solver.kappa"],
-                tol=merged["solver.tol"],
-                max_iters=merged["solver.max_iters"],
-                ball_radius=merged["solver.ball_radius"],
-            ),
-            n_samples=merged["n_samples"],
-            t_eval=merged["t_eval"],
-            a=merged["a"],
-            output_dir=merged["output_dir"],
-        )
+        return _replace_leaves(DEFAULT_CONFIG, values)
     except ValueError as exc:  # invalid field combinations surface as config errors
         raise ConfigError(str(exc)) from exc

@@ -100,18 +100,15 @@ class HolderReport:
         return self.sup_norm + self.seminorm
 
 
-def holder_norm(f: GridFunction, gamma: float, method: str = "exact") -> HolderReport:
+def holder_norm(f: GridFunction, gamma: float) -> HolderReport:
     """Discrete Holder norm of a grid function.
 
     The seminorm is the maximum of |f_j - f_i| / ((j-i)/n)^gamma over all
-    node pairs i < j, O(n^2). ``method="dyadic"`` restricts the pairs to
-    power-of-two lags, an upper-bound-quality approximation intended for
-    n > 4096 only.
+    node pairs i < j, evaluated exactly in one O(n^2) pass.
 
     Args:
         f: grid function.
         gamma: Holder exponent in (0, 1].
-        method: "exact" (all pairs) or "dyadic" (power-of-two lags).
 
     Returns:
         HolderReport with sup_norm, seminorm and gamma.
@@ -120,19 +117,9 @@ def holder_norm(f: GridFunction, gamma: float, method: str = "exact") -> HolderR
         raise InvalidInputError(f"gamma must lie in (0,1], got {gamma}")
     v = f.values
     sup = float(np.max(np.abs(v)))
-    if method == "exact":
-        # One broadcasted pass over all pairs; ~33 MB at n=2048.
-        diff = np.abs(v[None, :] - v[:, None])
-        semi = float(np.max(diff * _inverse_lag_powers(f.n, gamma)))
-    elif method == "dyadic":
-        semi = 0.0
-        k = 1
-        while k <= f.n:
-            d = np.max(np.abs(v[k:] - v[:-k]))
-            semi = max(semi, float(d) / (k / f.n) ** gamma)
-            k *= 2
-    else:
-        raise InvalidInputError(f"unknown method {method!r}")
+    # One broadcasted pass over all pairs; ~33 MB at n=2048.
+    diff = np.abs(v[None, :] - v[:, None])
+    semi = float(np.max(diff * _inverse_lag_powers(f.n, gamma)))
     return HolderReport(sup_norm=sup, seminorm=semi, gamma=gamma)
 
 

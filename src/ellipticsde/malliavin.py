@@ -15,21 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import Coefficient
-from .cutoff import (
-    CutoffSpec,
-    garsia_grad_kernel,
-    smooth_cutoff_prime,
-    sobolev_grad_kernel,
-)
+from .cutoff import CutoffSpec, norm_power_grad_kernel, smooth_cutoff_prime
 from .errors import InvalidInputError
 from .fbm import fractional_inner_product, kernel_cell_masses
 from .grid import GridFunction
-from .solver import Solution, SolverConfig, _green_linear_solve
+from .solver import Solution, SolverConfig, _green_apply, _green_linear_solve
 from .young import green_kernel, kernel_integral
 
 __all__ = [
     "DerivativeKernel",
-    "forcing_kernel",
     "malliavin_kernel",
     "directional_derivative",
     "derivative_norm",
@@ -67,27 +61,17 @@ class DerivativeKernel:
         return GridFunction(self.n, self.values[:, j])
 
 
-def _grad_kernel(x: GridFunction, spec: CutoffSpec) -> tuple[GridFunction, float]:
-    """Flavor grad kernel and the constant pairing it into the forcing term.
-
-    The constants (-2 for sobolev, +1 for garsia) are the ones under which
-    the kernel pairing reproduces the cutoff's directional derivative; see
-    cutoff.cutoff_derivative_forms.
-    """
-    if spec.flavor == "sobolev":
-        return sobolev_grad_kernel(x, spec.gamma, spec.p), -2.0
-    return garsia_grad_kernel(x, spec.gamma, spec.p), 1.0
-
-
 def _forcing_matrix(
     z: Solution, x: GridFunction, sigma: Coefficient, spec: CutoffSpec
 ) -> np.ndarray:
-    """Forcing term Psi[i, j] = G sigma(z_{s_i}) K(t_j, s_i) + c phi' m_{s_i} z_{t_j}.
+    """Forcing term Psi[i, j] = G sigma(z_{s_i}) K(t_j, s_i) + phi' m_{s_i} w_{t_j}.
 
     phi' is the cutoff's derivative at the norm power stored on z, which
-    must be the solution for the driving path x. The array is laid out with
-    t along rows in memory (Psi.T is C-contiguous), the layout the kernel
-    solve sweeps over.
+    must be the solution for the driving path x; m is the norm power's grad
+    kernel and w = int K sigma(z) dx, so that z = G w. The rank-one term is
+    the derivative of G along h times w, and needs no division by G. The
+    array is laid out with t along rows in memory (Psi.T is C-contiguous),
+    the layout the kernel solve sweeps over.
     """
     nodes = x.nodes
     sig = np.asarray(sigma.fn(z.z.values), dtype=float)
@@ -95,27 +79,9 @@ def _forcing_matrix(
     psi_t *= (z.cutoff_value * sig)[None, :]
     phi_p = smooth_cutoff_prime(z.norm_power, spec.level)
     if phi_p != 0.0:
-        m, const = _grad_kernel(x, spec)
-        psi_t += const * phi_p * np.outer(z.z.values, m.values)
+        w = _green_apply(x, sig[:-1])
+        psi_t += phi_p * np.outer(w, norm_power_grad_kernel(x, spec).values)
     return psi_t.T
-
-
-def forcing_kernel(
-    s: float, t: float, z: Solution, x: GridFunction, sigma: Coefficient, spec: CutoffSpec
-) -> float:
-    """Forcing term of the derivative equation at one (s, t) node pair.
-
-    Away from the cutoff's transition band (phi' = 0) this reduces to
-    G * sigma(z_s) * K(t, s).
-    """
-    i, j = x.node_index(s), x.node_index(t)
-    G = z.cutoff_value
-    value = G * float(sigma.fn(np.array([z.z.values[i]]))[0]) * green_kernel(t, s)
-    phi_p = smooth_cutoff_prime(z.norm_power, spec.level)
-    if phi_p != 0.0:
-        m, const = _grad_kernel(x, spec)
-        value += const * phi_p * m.values[i] * z.z.values[j]
-    return value
 
 
 def malliavin_kernel(
@@ -172,15 +138,14 @@ def stratonovich_decomposition(
     spec: CutoffSpec,
     t: float,
     hurst: float,
-    trace_factor: float = 1.0,
 ) -> StratoDecomposition:
     """Decompose the solution's stochastic integral at time t.
 
     pathwise is the Young value G * int K(t,xi) sigma(z_xi) dx_xi (equal to
     z_t up to the solver residual); trace integrates the Malliavin derivative
-    of the integrand against |xi - s|^{2H-2}, scaled by the cutoff and the
-    configurable leading constant (1 by default, pass H(2H-1) for the
-    normalized-kernel convention); skorohod is defined as their difference.
+    of the integrand against |xi - s|^{2H-2}, scaled by the cutoff, with
+    leading constant 1 (the normalized-kernel convention would multiply it by
+    H(2H-1)); skorohod is defined as their difference.
     """
     if kernel.n != x.n:
         raise InvalidInputError(f"mismatched grids: n={kernel.n} vs n={x.n}")
@@ -200,7 +165,7 @@ def stratonovich_decomposition(
     col = green_kernel(t, centers) * np.asarray(sigma.d1(zm), dtype=float)
     masses = kernel_cell_masses(n, hurst)
     lag = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    trace = trace_factor * G * float(np.sum(phim * col[None, :] * masses[lag]))
+    trace = G * float(np.sum(phim * col[None, :] * masses[lag]))
     return StratoDecomposition(pathwise=pathwise, trace=trace, skorohod=pathwise - trace)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .grid import GridFunction
 
-__all__ = ["YoungResult", "young_integral", "green_kernel", "kernel_integral", "fubini_check"]
+__all__ = ["YoungResult", "young_integral", "green_kernel", "kernel_integral"]
 
 
 @dataclass(frozen=True)
@@ -76,30 +76,3 @@ def kernel_integral(t: float, w: GridFunction, x: GridFunction) -> YoungResult:
     weighted = GridFunction(w.n, green_kernel(t, w.nodes) * w.values)
     return young_integral(weighted, x, 0.0, 1.0)
 
-
-def fubini_check(h: np.ndarray, f: GridFunction, g: GridFunction, s: float, t: float) -> float:
-    """Gap between the two iterated Young sums of a two-parameter integrand.
-
-    h is the (n+1)x(n+1) array h[i,j] = h(r=i/n, u=j/n). Returns
-    |int_s^t int_s^r h(r,u) dg_u df_r - int_s^t int_u^t h(r,u) df_r dg_u|,
-    both sides evaluated as left-point iterated sums. Intended as a test
-    oracle for the exchange of integration order, not as a solver component.
-    """
-    _check_same_grid(f, g)
-    h = np.asarray(h, dtype=float)
-    if h.shape != (f.n + 1, f.n + 1):
-        raise InvalidInputError(f"h must be ({f.n + 1},{f.n + 1}), got {h.shape}")
-    i0, i1 = f.node_index(s), f.node_index(t)
-    if i0 > i1:
-        raise InvalidInputError(f"need s <= t, got s={s}, t={t}")
-    df = np.diff(f.values)[i0:i1]
-    dg = np.diff(g.values)[i0:i1]
-    hh = h[i0:i1, i0:i1]
-    idx = np.arange(i1 - i0)
-    # dg-inner order: u-cells strictly below the r-cell's left node.
-    lower = idx[:, None] > idx[None, :]
-    first = float(np.sum(hh * dg[None, :] * df[:, None] * lower))
-    # df-inner order: r-cells at or above the u-cell's left node.
-    upper = idx[:, None] >= idx[None, :]
-    second = float(np.sum(hh * dg[None, :] * df[:, None] * upper))
-    return abs(first - second)

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from ellipticsde import DivergenceError, cli
+from ellipticsde import DivergenceError, NumericalError, cli, fbm
 from ellipticsde.cli import main
+from ellipticsde.experiments import parse_config_file
 
 
 def test_fbm_sample_writes_csv_and_sidecar(tmp_path):
@@ -161,3 +162,60 @@ def test_malliavin_fd_check_divergence_exit_code(tmp_path, monkeypatch):
     assert rc == 3
     assert len(calls) == 2
     assert not (out / "malliavin.json").exists()
+
+
+def test_default_config_echo(tmp_path):
+    assert main(["solve", "--n", "64", "--out", str(tmp_path / "solve")]) == 0
+    echo = json.loads((tmp_path / "solve" / "solve.json").read_text())["config"]
+    assert echo["cutoff"] == {
+        "level": 2.0, "gamma": 0.5, "p": 2, "epsilon": 0.3, "flavor": "sobolev"
+    }
+    assert echo["solver"] == {"kappa": 0.55, "tol": 1e-10, "max_iters": 200, "ball_radius": 2.0}
+    assert echo["sigma"] == "const:0.1"
+    # density defaults are acceptance criterion 10's configuration
+    assert main(["density", "--N", "2", "--n", "64", "--out", str(tmp_path / "dens")]) == 0
+    echo = json.loads((tmp_path / "dens" / "density.json").read_text())["config"]
+    assert echo == {
+        "fbm": {"hurst": 0.75, "n": 64, "seed": 0},
+        "cutoff": {"level": 2.0, "gamma": 0.3, "p": 5, "epsilon": 0.42, "flavor": "garsia"},
+        "sigma": "tanh:0.05,0.02",
+        "solver": {"kappa": 0.75, "tol": 1e-10, "max_iters": 200, "ball_radius": 2.0},
+        "n_samples": 2,
+        "t_eval": 0.5,
+        "a": 0.002,
+    }
+
+
+def test_config_file_accepts_every_key(tmp_path):
+    values = {
+        "fbm.hurst": "0.75", "fbm.n": "64", "fbm.seed": "0", "cutoff.level": "2.0",
+        "cutoff.gamma": "0.3", "cutoff.p": "5", "cutoff.epsilon": "0.42",
+        "cutoff.flavor": "garsia", "solver.kappa": "0.75", "solver.tol": "1e-10",
+        "solver.max_iters": "200", "solver.ball_radius": "2.0", "sigma": "tanh:0.05,0.02",
+        "n_samples": "2", "t_eval": "0.5", "a": "0.002", "output_dir": str(tmp_path),
+    }
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert parse_config_file(cfg) == values
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["malliavin", "--n", "64", "--M", "1000", "--t", "abc"],
+        ["convergence", "--kind", "young", "--sizes", "64,x"],
+    ],
+)
+def test_bad_list_flag_is_config_error(tmp_path, argv):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_fbm_factorization_failure_is_config_error(tmp_path, monkeypatch):
+    def fail(hurst, n):
+        raise NumericalError(f"fBm covariance not positive definite (H={hurst}, n={n})")
+
+    monkeypatch.setattr(fbm, "_cholesky_factor", fail)
+    assert main(["fbm-sample", "--H", "0.75", "--n", "64", "--out", str(tmp_path)]) == 2
+    assert main(["solve", "--n", "64", "--out", str(tmp_path)]) == 2

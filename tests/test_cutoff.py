@@ -6,7 +6,6 @@ from ellipticsde import (
     GridFunction,
     InvalidInputError,
     cutoff_derivative_forms,
-    cutoff_derivative_pairing,
     cutoff_prime,
     cutoff_value,
     garsia_functional,
@@ -179,14 +178,6 @@ def test_garsia_grad_kernel_brute_force_oracle():
     assert prod == pytest.approx(brute, rel=0.01)
 
 
-def test_garsia_grad_kernel_factor_switch():
-    n = 128
-    x = lacunary_path(n, 0.8, phase_seed=3)
-    default = garsia_grad_kernel(x, 0.5, 2)
-    alt = garsia_grad_kernel(x, 0.5, 2, factor=3.0)  # 2p-1 convention
-    np.testing.assert_allclose(alt.values, default.values * 3.0 / 4.0, rtol=1e-9, atol=1e-12)
-
-
 def test_wedge_kernel_small_s_bound():
     # |mu~_s| <= |B|_{gamma+eps}^{2p-1} s^beta for grid s < 1/4, 10 fBm samples
     from ellipticsde import FbmConfig, sample_fbm
@@ -219,7 +210,7 @@ def test_dual_derivative_forms_agree(flavor):
     h = GridFunction.from_callable(lambda t: t, n)
     double, young = cutoff_derivative_forms(x, h, spec)
     assert double == pytest.approx(young, rel=0.01)
-    assert cutoff_derivative_pairing(x, h, spec) == double
+    assert cutoff_derivative_forms(x, h, spec)[0] == double
 
 
 @pytest.mark.parametrize("flavor", ["sobolev", "garsia"])
@@ -238,7 +229,7 @@ def test_derivative_pairing_degenerate_cases():
     spec = CutoffSpec(level=2.0, gamma=0.5, p=2, epsilon=0.3)
     interior = GridFunction.from_callable(lambda t: 0.5 * t, n)
     h = GridFunction.from_callable(lambda t: t, n)
-    assert cutoff_derivative_pairing(interior, h, spec) == 0.0  # phi' = 0
+    assert cutoff_derivative_forms(interior, h, spec)[0] == 0.0  # phi' = 0
     banded = _band_path(n, "sobolev")
     const = GridFunction(n, np.full(n + 1, 2.0))
     d, y = cutoff_derivative_forms(banded, const, spec)

@@ -98,22 +98,12 @@ def test_product_norm_bound(path_corpus):
         )
 
 
-def test_dyadic_method_is_lower_bound():
-    f = GridFunction.from_callable(lambda t: np.sin(7 * t) + t**2, 128)
-    exact = holder_norm(f, 0.5)
-    dyadic = holder_norm(f, 0.5, method="dyadic")
-    assert 0 < dyadic.seminorm <= exact.seminorm + 1e-12
-    assert dyadic.sup_norm == exact.sup_norm
-
-
 def test_holder_norm_invalid_gamma():
     f = GridFunction.from_callable(lambda t: t, 8)
     with pytest.raises(InvalidInputError):
         holder_norm(f, 0.0)
     with pytest.raises(InvalidInputError):
         holder_norm(f, 1.5)
-    with pytest.raises(InvalidInputError):
-        holder_norm(f, 0.5, method="magic")
 
 
 def test_trapezoid_constant_and_linear_exact():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from ellipticsde import (
     CutoffSpec,
@@ -12,12 +13,13 @@ from ellipticsde import (
     cutoff_prime,
     derivative_norm,
     directional_derivative,
-    forcing_kernel,
     green_kernel,
     kernel_cell_masses,
     malliavin_kernel,
+    norm_power,
     sample_fbm,
     sign_pattern,
+    smooth_cutoff,
     solve_elliptic,
     solve_linear,
     stratonovich_decomposition,
@@ -48,12 +50,15 @@ def test_kernel_validation():
 
 
 def test_forcing_kernel_boundary_and_interior():
+    # _forcing_matrix(...)[i_s, j_t] is the forcing term at (s, t) = (i_s/n, j_t/n)
     x, sigma, sol = _interior_setup()
-    assert forcing_kernel(0.25, 0.0, sol, x, sigma, INTERIOR) == pytest.approx(0.0, abs=1e-15)
+    n = x.n
+    psi = _forcing_matrix(sol, x, sigma, INTERIOR)
+    assert psi[n // 4, 0] == pytest.approx(0.0, abs=1e-15)
     # interior constant sigma: G sigma(z_s) K(t,s) with G = 1
-    assert forcing_kernel(0.5, 0.5, sol, x, sigma, INTERIOR) == pytest.approx(0.25 * 0.25)
+    assert psi[n // 2, n // 2] == pytest.approx(0.25 * 0.25)
     _, sig0, sol0 = _interior_setup(c=0.0)
-    assert forcing_kernel(0.5, 0.5, sol0, x, sig0, INTERIOR) == 0.0
+    assert _forcing_matrix(sol0, x, sig0, INTERIOR)[n // 2, n // 2] == 0.0
 
 
 def test_kernel_constant_sigma_closed_form():
@@ -215,12 +220,6 @@ def test_strato_general_case():
     assert np.isfinite(st.trace)
     assert abs(st.pathwise - sol.z(0.5)) <= sol.residual + 1e-14
     assert st.skorohod == st.pathwise - st.trace
-    # the leading constant is configurable; alpha_H scaling is linear
-    alpha = 0.75 * (2 * 0.75 - 1)
-    st2 = stratonovich_decomposition(
-        sol, kernel, x, sigma, spec, 0.5, 0.75, trace_factor=alpha
-    )
-    assert st2.trace == pytest.approx(alpha * st.trace, rel=1e-12)
 
 
 def test_trace_integrability_condition():
@@ -275,8 +274,8 @@ def _kernel_cases(flavor, n=128):
     """(path, cutoff, kappa): an fBm path under the flavor's benchmark
     problem (the malliavin CLI's sobolev one, the density study's garsia
     one), and the path A t with the norm power mid-transition at level 2
-    (phi' != 0, so the m z^T forcing term and the boundary rows s=0, s=1 are
-    exercised)."""
+    (phi' != 0, so the rank-one forcing term and the boundary rows s=0, s=1
+    are exercised)."""
     x = sample_fbm(FbmConfig(hurst=0.75, n=n, seed=31))
     if flavor == "sobolev":
         yield x, CutoffSpec(level=1e3, gamma=0.5, p=2, epsilon=0.3, flavor=flavor), 0.55
@@ -313,3 +312,27 @@ def test_kernel_equation_residual_relative(flavor):
             sig1[:-1] * kernel[:, :-1]
         ) @ green_weights(x).T
         assert np.max(np.abs(kernel - rhs)) <= 1e-12 * np.max(np.abs(kernel))
+
+
+@pytest.mark.parametrize("flavor", ["sobolev", "garsia"])
+@pytest.mark.parametrize("G", [0.02, 0.5, 0.98])
+def test_band_path_kernel_matches_central_fd(flavor, G):
+    # in the cutoff band (phi' != 0) the kernel's directional derivative is
+    # the derivative of the solve, whatever the cutoff value G
+    n, eps = 256, 1e-6
+    spec = CutoffSpec(level=2.0, gamma=0.5, p=2, epsilon=0.3, flavor=flavor)
+    cfg = SolverConfig(kappa=0.55, tol=1e-13, max_iters=200)
+    sigma = tanh_coefficient(0.05, 0.02)
+    base = GridFunction.from_callable(lambda t: t + 0.3 * np.sin(3 * np.pi * t), n)
+    # scale the path by A so that its norm power U = A^{2p} U(base) has cutoff G
+    a = brentq(lambda a: smooth_cutoff(spec.level + a, spec.level) - G, 1e-9, 1 - 1e-9)
+    A = ((spec.level + a) / norm_power(base, spec)) ** (1 / (2 * spec.p))
+    x = GridFunction(n, A * base.values)
+    h = GridFunction.from_callable(lambda t: t * np.cos(2 * np.pi * t), n)
+    sol = solve_elliptic(x, sigma, spec, cfg)
+    assert sol.cutoff_value == pytest.approx(G, rel=1e-9)
+    dd = directional_derivative(malliavin_kernel(sol, x, sigma, spec, cfg), h).values
+    plus = solve_elliptic(GridFunction(n, x.values + eps * h.values), sigma, spec, cfg)
+    minus = solve_elliptic(GridFunction(n, x.values - eps * h.values), sigma, spec, cfg)
+    fd = (plus.z.values - minus.z.values) / (2 * eps)
+    assert np.max(np.abs(dd - fd)) <= 3e-2 * np.max(np.abs(fd))

@@ -4,13 +4,13 @@ import pytest
 from ellipticsde import (
     GridFunction,
     InvalidInputError,
-    fubini_check,
     green_kernel,
     holder_norm,
     kernel_integral,
     lacunary_path,
     young_integral,
 )
+from oracles import fubini_check
 
 
 def test_telescoping_constant_integrand():
