@@ -11,7 +11,6 @@ density study.
 from .coefficients import Coefficient, constant_coefficient, parse_sigma, tanh_coefficient
 from .cutoff import (
     CutoffSpec,
-    cutoff_derivative_forms,
     cutoff_prime,
     cutoff_value,
     garsia_functional,
@@ -79,7 +78,6 @@ __all__ = [
     "YoungResult",
     "constant_coefficient",
     "convergence_study",
-    "cutoff_derivative_forms",
     "cutoff_prime",
     "cutoff_value",
     "density_experiment",

@@ -160,6 +160,8 @@ def _cmd_malliavin(args) -> int:
         raise UnsupportedParameterError(f"|H| norms need H > 1/2, got H={args.H}")
     spec, cfg, sigma, x, driver = _problem_from_args(args)
     t_nodes = _parse_list(args.t, float, "--t")
+    for t in t_nodes:
+        x.node_index(t)  # raises before anything is written
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:

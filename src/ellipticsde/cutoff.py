@@ -8,9 +8,12 @@ wedge-restricted Garsia functional ("garsia"). This module also computes the
 per-point kernels representing the Frechet derivative of the cutoff, which
 feed the derivative-kernel assembly.
 
-All singular double integrals use the cell-midpoint rule with cells touching
-the singular diagonal/corner excluded at width one grid cell; numpy's
-pairwise summation keeps the reduction order fixed and reproducible.
+All singular double integrals use the cell-midpoint rule over pairs of
+distinct cells (lo, hi = lo + k), so the cells on the singular diagonal are
+excluded by integer index. One sweep over the lags k = 1..n-1 evaluates the
+norm power and the derivative kernels together in O(n) memory: the square
+counts each pair twice (its two orientations), the wedge hi <= 4 lo + 1
+counts it once. The sweep order is fixed, so results are reproducible.
 """
 
 from dataclasses import dataclass
@@ -19,7 +22,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .grid import GridFunction
-from .young import young_integral
 
 __all__ = [
     "CutoffSpec",
@@ -33,7 +35,6 @@ __all__ = [
     "sobolev_grad_kernel",
     "garsia_grad_kernel",
     "norm_power_grad_kernel",
-    "cutoff_derivative_forms",
 ]
 
 FLAVORS = ("sobolev", "garsia")
@@ -141,48 +142,59 @@ def _midpoints(f: GridFunction) -> np.ndarray:
     return 0.5 * (f.values[:-1] + f.values[1:])
 
 
-def _cell_centers(n: int) -> np.ndarray:
-    return (np.arange(n) + 0.5) / n
+def _pair_sums(x: GridFunction, gamma: float, p: int, flavor: str):
+    """The flavor's cell-pair sums (U, S), from one sweep over lags k = 1..n-1.
+
+    With fm the cell midpoints and w(k) = (k/n)^{-(2p*gamma+2)} / n^2,
+    U = sum mult w(k) (fm[hi] - fm[lo])^{2p} is the norm power, and the node
+    values S_j = sum mult 2p w(k) (fm[hi] - fm[lo])^{2p-1} run over the
+    pairs with lo < j <= hi (S_0 = S_n = 0: no pair straddles the ends).
+    A flavor is its first lower cell and its pair multiplicity mult: the
+    symmetric square starts every lag at lo = 0 and counts each pair twice;
+    the wedge c_hi < 4 c_lo, i.e. hi <= 4 lo + 1, starts at lo = ceil((k-1)/3)
+    and counts each pair once.
+    """
+    n = x.n
+    fm = _midpoints(x)
+    mult = 2.0 if flavor == "sobolev" else 1.0
+    total = 0.0
+    jumps = np.zeros(n + 1)  # difference array of S
+    for k in range(1, n):
+        lo0 = 0 if flavor == "sobolev" else (k + 1) // 3
+        if lo0 >= n - k:
+            break
+        w = mult * (k / n) ** -(2 * p * gamma + 2) / n**2
+        d = fm[lo0 + k :] - fm[lo0 : n - k]
+        odd, sq = d.copy(), d * d  # d^{2p-1} by products: pow() is slow on d < 0
+        for _ in range(p - 1):
+            odd *= sq
+        total += w * float(odd @ d)
+        odd *= 2 * p * w
+        jumps[lo0 + 1 : n - k + 1] += odd
+        jumps[lo0 + k + 1 :] -= odd
+    S = np.cumsum(jumps)
+    S[0] = S[n] = 0.0
+    return total, S
 
 
 def sobolev_norm(f: GridFunction, gamma: float, p: int) -> float:
     """Discrete Sobolev-Holder norm: 2p-th root of the double integral of
-    (f(zeta)-f(eta))^{2p} / |zeta-eta|^{2p*gamma+2} over the unit square.
-
-    Cell-midpoint rule; cells closer to the diagonal than one grid cell
-    (only zeta == eta cells, given midpoint spacing) are excluded.
+    (f(zeta)-f(eta))^{2p} / |zeta-eta|^{2p*gamma+2} over the unit square,
+    by the midpoint rule over pairs of distinct cells.
     """
-    n = f.n
-    fm = _midpoints(f)
-    c = _cell_centers(n)
-    diff = fm[:, None] - fm[None, :]
-    dist = np.abs(c[:, None] - c[None, :])
-    off = dist >= 1.0 / n
-    total = np.sum(diff[off] ** (2 * p) / dist[off] ** (2 * p * gamma + 2)) / n**2
-    return float(total ** (1.0 / (2 * p)))
+    return _pair_sums(f, gamma, p, "sobolev")[0] ** (1.0 / (2 * p))
 
 
 def garsia_functional(f: GridFunction, gamma: float, p: int) -> float:
     """Wedge-restricted variant of :func:`sobolev_norm`:
     ( int_0^1 dv int_v^{4v^1} |f_u - f_v|^{2p} / |v-u|^{2p*gamma+2} du )^{1/2p}.
     """
-    n = f.n
-    fm = _midpoints(f)
-    c = _cell_centers(n)
-    u = c[None, :]
-    v = c[:, None]
-    wedge = (u > v) & (u < np.minimum(4 * v, 1.0)) & (u - v >= 1.0 / n)
-    diff = fm[None, :] - fm[:, None]
-    dist = u - v
-    total = np.sum(diff[wedge] ** (2 * p) / dist[wedge] ** (2 * p * gamma + 2)) / n**2
-    return float(total ** (1.0 / (2 * p)))
+    return _pair_sums(f, gamma, p, "garsia")[0] ** (1.0 / (2 * p))
 
 
 def norm_power(x: GridFunction, spec: CutoffSpec) -> float:
     """The cutoff's argument: the flavor norm raised to the power 2p."""
-    if spec.flavor == "sobolev":
-        return sobolev_norm(x, spec.gamma, spec.p) ** (2 * spec.p)
-    return garsia_functional(x, spec.gamma, spec.p) ** (2 * spec.p)
+    return _pair_sums(x, spec.gamma, spec.p, spec.flavor)[0]
 
 
 def cutoff_value(x: GridFunction, spec: CutoffSpec) -> float:
@@ -195,108 +207,32 @@ def cutoff_prime(x: GridFunction, spec: CutoffSpec) -> float:
     return float(smooth_cutoff_prime(norm_power(x, spec), spec.level))
 
 
-def _rho_matrix(x: GridFunction, gamma: float, p: int) -> np.ndarray:
-    """Midpoint samples of 2p (x_zeta - x_eta)^{2p-1} / |zeta-eta|^{2p*gamma+2}.
-
-    Row index is the zeta cell, column index the eta cell; the diagonal is
-    zeroed (it is always excluded by the band rule).
-    """
-    n = x.n
-    xm = _midpoints(x)
-    c = _cell_centers(n)
-    diff = xm[:, None] - xm[None, :]
-    dist = np.abs(c[:, None] - c[None, :])
-    np.fill_diagonal(dist, 1.0)  # avoid 0^negative; diagonal re-zeroed below
-    rho = 2.0 * p * diff ** (2 * p - 1) / dist ** (2 * p * gamma + 2)
-    np.fill_diagonal(rho, 0.0)
-    return rho
-
-
 def sobolev_grad_kernel(x: GridFunction, gamma: float, p: int) -> GridFunction:
     """Kernel mu with node values int_0^s int_s^1 rho(zeta,eta) dzeta deta,
     rho = 2p (x_zeta - x_eta)^{2p-1} / |zeta-eta|^{2p*gamma+2}.
 
-    Pairing mu against increments of a direction h recovers the derivative
-    of the sobolev norm power (see :func:`cutoff_derivative_forms`). Cells
-    within width 1/n of the singular corner at (s,s) are excluded; with
-    midpoint cells that is the same strict |zeta-eta| < 1/n band rule used
-    everywhere (the nearest admissible pair sits at separation exactly 1/n).
+    Midpoint rule over the cell pairs zeta < s <= eta; mu vanishes at s = 0, 1.
     """
-    n = x.n
-    rho = _rho_matrix(x, gamma, p)
-    # suffix[i, k] = sum_{j >= k} rho[i, j]
-    suffix = np.cumsum(rho[:, ::-1], axis=1)[:, ::-1]
-    # prefix over zeta: sum_{i < k} suffix[i, k]
-    prefix = np.cumsum(suffix, axis=0)
-    mu = np.zeros(n + 1)
-    for k in range(1, n):
-        mu[k] = prefix[k - 1, k]
-    return GridFunction(n, mu / n**2)
+    _, S = _pair_sums(x, gamma, p, "sobolev")
+    return GridFunction(x.n, -0.5 * S)
 
 
 def garsia_grad_kernel(x: GridFunction, gamma: float, p: int) -> GridFunction:
     """Wedge analogue of :func:`sobolev_grad_kernel`: node values
     int_{s/4}^{s} deta int_s^{4*eta^1} dzeta rho(zeta,eta), with the same
     rho = 2p (x_zeta - x_eta)^{2p-1} / |zeta-eta|^{2p*gamma+2}.
-
-    Pairing the kernel against dh reproduces the derivative of the garsia
-    norm power (see :func:`norm_power_grad_kernel`).
     """
-    n = x.n
-    rho = _rho_matrix(x, gamma, p)
-    colsum = np.cumsum(rho, axis=0)  # colsum[i, j] = sum_{i' <= i} rho[i', j]
-    c = _cell_centers(n)
-    mu = np.zeros(n + 1)
-    for k in range(1, n + 1):
-        s = k / n
-        j0 = int(np.searchsorted(c, s / 4, side="right"))
-        js = np.arange(j0, k)  # eta cells with s/4 < c[j] < s
-        if js.size == 0:
-            continue
-        # zeta cells i with s < c[i] < min(4*c[j], 1): k <= i <= min(4j+1, n-1)
-        imax = np.minimum(4 * js + 1, n - 1)
-        valid = imax >= k
-        acc = float(np.sum(colsum[imax[valid], js[valid]] - colsum[k - 1, js[valid]]))
-        mu[k] = acc / n**2
-    return GridFunction(n, mu)
+    return GridFunction(x.n, _pair_sums(x, gamma, p, "garsia")[1])
 
 
 def norm_power_grad_kernel(x: GridFunction, spec: CutoffSpec) -> GridFunction:
-    """The flavor's grad kernel times its pairing constant: a kernel m with
-    DU[h] ~= int_0^1 m dh for the norm power U = norm_power(x, spec).
+    """Exact gradient of the discrete norm power U = norm_power(x, spec) as a
+    kernel m with DU[h] = sum_k m_k (h_{k+1} - h_k), and m_n = 0.
 
-    The pairing constants are -2 for sobolev (the symmetric square counts each
-    pair twice, and mu pairs it with the opposite orientation) and +1 for
-    garsia; criterion 05 checks them against the double-integral form.
+    A cell midpoint moves with both nodes of its cell, so each pair's end
+    cells carry half weight: m_k = (S_k + S_{k+1}) / 2.
     """
-    if spec.flavor == "sobolev":
-        mu = sobolev_grad_kernel(x, spec.gamma, spec.p)
-        return GridFunction(x.n, -2.0 * mu.values)
-    return garsia_grad_kernel(x, spec.gamma, spec.p)
-
-
-def cutoff_derivative_forms(x: GridFunction, h: GridFunction, spec: CutoffSpec):
-    """Directional derivative of the cutoff along h, computed two ways.
-
-    Returns (double_form, young_form):
-      * double_form evaluates phi' times the double integral of
-        rho * (h_zeta - h_eta) over the flavor's domain directly;
-      * young_form is phi' int m dh, with m = :func:`norm_power_grad_kernel`.
-    The two agree up to quadrature error; their gap is a consistency oracle.
-    """
-    if x.n != h.n:
-        raise InvalidInputError(f"mismatched grids: n={x.n} vs n={h.n}")
-    n = x.n
-    phi_p = cutoff_prime(x, spec)
-    hm = _midpoints(h)
-    rho = _rho_matrix(x, spec.gamma, spec.p)
-    hdiff = hm[:, None] - hm[None, :]
-    if spec.flavor == "garsia":
-        c = _cell_centers(n)
-        u = c[:, None]  # zeta (upper) cell
-        v = c[None, :]  # eta (lower) cell
-        wedge = (u > v) & (u < np.minimum(4 * v, 1.0))
-        rho, hdiff = rho[wedge], hdiff[wedge]
-    double = phi_p * float(np.sum(rho * hdiff)) / n**2
-    young = phi_p * young_integral(norm_power_grad_kernel(x, spec), h, 0.0, 1.0).value
-    return double, young
+    _, S = _pair_sums(x, spec.gamma, spec.p, spec.flavor)
+    m = np.zeros(x.n + 1)
+    m[:-1] = 0.5 * (S[:-1] + S[1:])
+    return GridFunction(x.n, m)

@@ -67,11 +67,11 @@ def _forcing_matrix(
     """Forcing term Psi[i, j] = G sigma(z_{s_i}) K(t_j, s_i) + phi' m_{s_i} w_{t_j}.
 
     phi' is the cutoff's derivative at the norm power stored on z, which
-    must be the solution for the driving path x; m is the norm power's grad
-    kernel and w = int K sigma(z) dx, so that z = G w. The rank-one term is
-    the derivative of G along h times w, and needs no division by G. The
-    array is laid out with t along rows in memory (Psi.T is C-contiguous),
-    the layout the kernel solve sweeps over.
+    must be the solution for the driving path x; m is the exact gradient
+    kernel of the norm power and w = int K sigma(z) dx, so that z = G w.
+    The rank-one term is the derivative of G along h times w, and needs no
+    division by G. The array is laid out with t along rows in memory (Psi.T
+    is C-contiguous), the layout the kernel solve sweeps over.
     """
     nodes = x.nodes
     sig = np.asarray(sigma.fn(z.z.values), dtype=float)

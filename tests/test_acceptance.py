@@ -16,7 +16,6 @@ from ellipticsde import (
     GridFunction,
     SolverConfig,
     constant_coefficient,
-    cutoff_derivative_forms,
     cutoff_prime,
     density_experiment,
     directional_derivative,
@@ -37,7 +36,7 @@ from ellipticsde import (
     young_integral,
 )
 from ellipticsde.fbm import _cholesky_factor
-from oracles import green_weights
+from oracles import cutoff_derivative_forms, green_weights
 
 
 def _report(num: int, label: str, passed: bool, detail: str):

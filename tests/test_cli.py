@@ -140,6 +140,18 @@ def test_malliavin_low_hurst_is_config_error_before_output(tmp_path):
     assert not (out / "malliavin.json").exists()
 
 
+def test_malliavin_non_node_t_is_config_error_before_output(tmp_path):
+    out = tmp_path / "o4"
+    rc = main(
+        [
+            "malliavin", "--n", "64", "--M", "1000", "--sigma", "tanh:0.05,0.02",
+            "--t", "0.3", "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_malliavin_fd_check_divergence_exit_code(tmp_path, monkeypatch):
     # the base solve converges; the perturbed solves of the fd check diverge
     real = cli.solve_elliptic

@@ -5,7 +5,6 @@ from ellipticsde import (
     CutoffSpec,
     GridFunction,
     InvalidInputError,
-    cutoff_derivative_forms,
     cutoff_prime,
     cutoff_value,
     garsia_functional,
@@ -18,6 +17,10 @@ from ellipticsde import (
     sobolev_grad_kernel,
     sobolev_norm,
 )
+from ellipticsde.cutoff import norm_power_grad_kernel
+
+import oracles
+from oracles import cutoff_derivative_forms
 
 
 def test_smooth_cutoff_plateaus_and_midpoint():
@@ -190,6 +193,53 @@ def test_wedge_kernel_small_s_bound():
         bound = holder_norm(B, gamma + eps).norm ** (2 * p - 1)
         for k in range(1, n // 4):
             assert abs(mt.values[k]) <= 1.05 * bound * (k / n) ** beta
+
+
+def _random_walk(n):
+    return GridFunction(n, np.cumsum(np.random.default_rng(n).standard_normal(n + 1)) / n**0.5)
+
+
+@pytest.mark.parametrize("flavor", ["sobolev", "garsia"])
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 64, 255, 256, 1024])
+def test_pair_sweep_matches_dense_oracles(n, flavor):
+    # the lag sweep selects pairs by integer lag, so non-power-of-two n keep
+    # their adjacent-cell pairs; the dense oracles select them by index too
+    x = _random_walk(n)
+    norm, norm_ref, kernel, kernel_ref = {
+        "sobolev": (
+            sobolev_norm, oracles.sobolev_norm, sobolev_grad_kernel, oracles.sobolev_grad_kernel
+        ),
+        "garsia": (
+            garsia_functional, oracles.garsia_functional, garsia_grad_kernel, oracles.garsia_grad_kernel
+        ),
+    }[flavor]
+    for p in (1, 2, 5):
+        expected = norm_ref(x, 0.3, p)
+        assert abs(norm(x, 0.3, p) - expected) <= 1e-12 * expected
+        mu = kernel(x, 0.3, p).values
+        ref = kernel_ref(x, 0.3, p).values
+        assert np.max(np.abs(mu - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert mu[0] == 0.0 and mu[n] == 0.0
+        spec = CutoffSpec(level=2.0, gamma=0.3, p=p, epsilon=0.9, flavor=flavor)
+        assert norm_power(x, spec) == pytest.approx(expected ** (2 * p), rel=1e-12)
+        assert norm_power_grad_kernel(x, spec).values[n] == 0.0
+
+
+@pytest.mark.parametrize("flavor", ["sobolev", "garsia"])
+@pytest.mark.parametrize("n", [255, 256])
+def test_norm_power_grad_kernel_is_exact_gradient(n, flavor):
+    # DU[h] = sum_k m_k (h_{k+1} - h_k) holds for the discrete norm power
+    eps = 1e-6
+    x = GridFunction.from_callable(lambda t: t + 0.3 * np.sin(3 * np.pi * t), n)
+    h = GridFunction.from_callable(lambda t: t * np.cos(2 * np.pi * t), n)
+    for gamma, p in ((0.5, 2), (0.3, 5)):
+        spec = CutoffSpec(level=2.0, gamma=gamma, p=p, epsilon=0.9, flavor=flavor)
+        fd = (
+            norm_power(GridFunction(n, x.values + eps * h.values), spec)
+            - norm_power(GridFunction(n, x.values - eps * h.values), spec)
+        ) / (2 * eps)
+        pairing = float(norm_power_grad_kernel(x, spec).values[:-1] @ np.diff(h.values))
+        assert abs(pairing - fd) <= 1e-6 * abs(fd)
 
 
 def _band_path(n, flavor):

@@ -335,4 +335,4 @@ def test_band_path_kernel_matches_central_fd(flavor, G):
     plus = solve_elliptic(GridFunction(n, x.values + eps * h.values), sigma, spec, cfg)
     minus = solve_elliptic(GridFunction(n, x.values - eps * h.values), sigma, spec, cfg)
     fd = (plus.z.values - minus.z.values) / (2 * eps)
-    assert np.max(np.abs(dd - fd)) <= 3e-2 * np.max(np.abs(fd))
+    assert np.max(np.abs(dd - fd)) <= 1e-6 * np.max(np.abs(fd))
