@@ -61,14 +61,15 @@ class CutoffSpec:
     flavor: str = "sobolev"
 
     def __post_init__(self):
-        if self.level <= 0:
-            raise InvalidInputError(f"level must be positive, got {self.level}")
+        if not 0.0 < self.level < np.inf:
+            raise InvalidInputError(f"level must be positive and finite, got {self.level}")
         if not 0.0 < self.gamma < 1.0:
             raise InvalidInputError(f"gamma must lie in (0,1), got {self.gamma}")
-        if self.p < 1 or int(self.p) != self.p:
+        if not (1 <= self.p < np.inf and int(self.p) == self.p):
             raise InvalidInputError(f"p must be an integer >= 1, got {self.p}")
-        if self.epsilon <= 0:
-            raise InvalidInputError(f"epsilon must be positive, got {self.epsilon}")
+        object.__setattr__(self, "p", int(self.p))  # the lag sweep ranges over p
+        if not 0.0 < self.epsilon < np.inf:
+            raise InvalidInputError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.flavor not in FLAVORS:
             raise InvalidInputError(f"flavor must be one of {FLAVORS}, got {self.flavor!r}")
         if self.flavor == "sobolev" and self.epsilon <= 1.0 / (2 * self.p):

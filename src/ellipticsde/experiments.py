@@ -54,8 +54,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
-        if self.a <= 0:
-            raise ConfigError("exclusion radius a must be positive")
+        if not 0.0 < self.a < np.inf:
+            raise ConfigError(f"exclusion radius a must be positive and finite, got {self.a}")
         if not 0.0 < self.t_eval < 1.0:
             raise ConfigError("t_eval must lie in (0,1)")
         j = round(self.t_eval * self.fbm.n)

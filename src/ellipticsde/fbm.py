@@ -11,6 +11,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ndtri
 
 from .errors import InvalidInputError, NumericalError, UnsupportedParameterError
@@ -53,7 +54,7 @@ def fbm_covariance(s, t, hurst: float):
     return float(out) if out.ndim == 0 else out
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=2)
 def _cholesky_factor(hurst: float, n: int) -> np.ndarray:
     """Cached lower-triangular factor of the node covariance (nodes 1/n..1)."""
     t = np.arange(1, n + 1) / n
@@ -124,10 +125,15 @@ def fractional_inner_product(phi: GridFunction, psi: GridFunction, hurst: float)
         raise UnsupportedParameterError(f"inner product needs hurst > 1/2, got {hurst}")
     if phi.n != psi.n:
         raise InvalidInputError(f"mismatched grids: n={phi.n} vs n={psi.n}")
-    n = phi.n
     pm = 0.5 * (phi.values[:-1] + phi.values[1:])
     qm = 0.5 * (psi.values[:-1] + psi.values[1:])
-    masses = kernel_cell_masses(n, hurst)
-    lag = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     alpha = hurst * (2.0 * hurst - 1.0)
-    return float(alpha * pm @ masses[lag] @ qm)
+    return float(alpha * pm @ _cell_mass_matrix(phi.n, hurst) @ qm)
+
+
+def _cell_mass_matrix(n: int, hurst: float) -> np.ndarray:
+    """C-contiguous n x n matrix masses[|i - j|], row i a window of the
+    mirrored masses; products with a strided view would round differently."""
+    masses = kernel_cell_masses(n, hurst)
+    mirrored = np.concatenate((masses[:0:-1], masses))
+    return np.ascontiguousarray(sliding_window_view(mirrored, n)[::-1])

@@ -17,8 +17,8 @@ import numpy as np
 from .coefficients import Coefficient
 from .cutoff import CutoffSpec, norm_power_grad_kernel, smooth_cutoff_prime
 from .errors import InvalidInputError
-from .fbm import fractional_inner_product, kernel_cell_masses
-from .grid import GridFunction
+from .fbm import _cell_mass_matrix, fractional_inner_product
+from .grid import GridFunction, _node_index
 from .solver import Solution, SolverConfig, _green_apply, _green_linear_solve
 from .young import green_kernel, kernel_integral
 
@@ -55,10 +55,7 @@ class DerivativeKernel:
 
     def row(self, t: float) -> GridFunction:
         """The Malliavin-derivative profile s -> Phi_s(t) at a fixed node t."""
-        j = int(round(t * self.n))
-        if abs(t - j / self.n) > 1e-9 or not 0 <= j <= self.n:
-            raise InvalidInputError(f"{t!r} is not a grid node")
-        return GridFunction(self.n, self.values[:, j])
+        return GridFunction(self.n, self.values[:, _node_index(self.n, t)])
 
 
 def _forcing_matrix(
@@ -163,9 +160,7 @@ def stratonovich_decomposition(
         + kernel.values[1:, 1:]
     )
     col = green_kernel(t, centers) * np.asarray(sigma.d1(zm), dtype=float)
-    masses = kernel_cell_masses(n, hurst)
-    lag = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    trace = G * float(np.sum(phim * col[None, :] * masses[lag]))
+    trace = G * float(np.sum(phim * col[None, :] * _cell_mass_matrix(n, hurst)))
     return StratoDecomposition(pathwise=pathwise, trace=trace, skorohod=pathwise - trace)
 
 

@@ -50,12 +50,12 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.kappa < 1.0:
             raise InvalidInputError(f"kappa must lie in (0,1), got {self.kappa}")
-        if self.tol <= 0:
-            raise InvalidInputError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise InvalidInputError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1:
             raise InvalidInputError("max_iters must be >= 1")
-        if self.ball_radius <= 1.0:
-            raise InvalidInputError("ball_radius must exceed 1")
+        if not 1.0 < self.ball_radius < np.inf:
+            raise InvalidInputError(f"ball_radius must be finite and > 1, got {self.ball_radius}")
 
 
 @dataclass(frozen=True)
@@ -222,12 +222,8 @@ def solve_elliptic(
             ratios,
         )
     residual = float(np.max(np.abs(zv - apply_map(zv))))
-    z = GridFunction(x.n, zv)
-    z_norm = holder_norm(z, cfg.kappa).norm
-    if z_norm > cfg.ball_radius:
-        logger.info("solution left the invariant ball: |z|_kappa=%.3g > %.3g", z_norm, cfg.ball_radius)
     return Solution(
-        z=z,
+        z=GridFunction(x.n, zv),
         iterations=iterations,
         contraction_ratio=max(ratios) if ratios else 0.0,
         residual=residual,
@@ -249,7 +245,7 @@ def solve_linear(
     when that system is not positive definite. The kappa-norm of R should sit
     below 1/(level+1) for the contraction argument; the check is logged, not
     enforced. The output satisfies the stability bound
-    |y|_kappa <= c(level) |w|_kappa, reported as a ratio.
+    |y|_kappa <= c(level) |w|_kappa.
     """
     if not (w.n == R.n == x.n):
         raise InvalidInputError("w, R and x must share one grid")
@@ -262,9 +258,4 @@ def solve_linear(
             1.0 / (spec.level + 1.0),
         )
     G = cutoff_value(x, spec)
-    y = GridFunction(x.n, _green_linear_solve(w.values, -R.values, x, G))
-    w_norm = holder_norm(w, cfg.kappa).norm
-    if w_norm > 0:
-        logger.debug("stability ratio |y|_kappa / |w|_kappa = %.3g",
-                      holder_norm(y, cfg.kappa).norm / w_norm)
-    return y
+    return GridFunction(x.n, _green_linear_solve(w.values, -R.values, x, G))

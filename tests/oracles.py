@@ -3,21 +3,27 @@
 These are the dense and iterative formulations the library replaced: the
 (n+1) x n matrix of left-point Green weights, the column-by-column Picard
 solve of the derivative-kernel equation with its kappa-norm stopping rule,
-and the n x n cell-pair arrays of the cutoff norms, their grad kernels and
-the double-integral form of the cutoff's derivative. They are slow (O(n^2)
+the n x n cell-pair arrays of the cutoff norms, their grad kernels and the
+double-integral form of the cutoff's derivative, the (n+1)^2 pair and
+inverse-lag-power matrices of the Holder norm, and the |i-j| index gathers
+of the |H| inner product and the Stratonovich trace. They are slow (O(n^2)
 memory, O(n^3) time for a kernel) and exist only for the tests. The
 iterated-sum gap of a two-parameter Young integral checks the exchange of
-integration order.
+integration order. The lag-indexed forms are compared on fBm, linear,
+constant and one-jump paths (:func:`oracle_path`).
 """
 
 import numpy as np
 
 from ellipticsde import (
     DivergenceError,
+    FbmConfig,
     GridFunction,
+    HolderReport,
     InvalidInputError,
     green_kernel,
-    holder_norm,
+    kernel_cell_masses,
+    sample_fbm,
     young_integral,
 )
 from ellipticsde.cutoff import cutoff_prime, norm_power_grad_kernel
@@ -212,3 +218,59 @@ def cutoff_derivative_forms(x: GridFunction, h: GridFunction, spec):
     double = phi_p * float(np.sum(rho * hdiff)) / n**2
     young = phi_p * young_integral(norm_power_grad_kernel(x, spec), h, 0.0, 1.0).value
     return double, young
+
+
+ORACLE_SIZES = (2, 3, 5, 64, 255, 256, 257, 1024)  # several lag blocks of the sweep
+PATH_KINDS = ("fbm", "linear", "constant", "jump")
+
+
+def oracle_path(kind: str, n: int) -> GridFunction:
+    """An fBm, linear, constant or one-jump path on the n-grid."""
+    if kind == "fbm":
+        return sample_fbm(FbmConfig(hurst=0.75, n=n, seed=n))
+    t = np.linspace(0.0, 1.0, n + 1)
+    values = {"linear": 2.0 * t - 0.5, "constant": np.full(n + 1, 0.3)}.get(kind)
+    if values is None:  # jump: 0 up to the middle node, 1 after it
+        values = (np.arange(n + 1) > n // 2).astype(float)
+    return GridFunction(n, values)
+
+
+def holder_norm(f: GridFunction, gamma: float) -> HolderReport:
+    """Holder norm from the (n+1)^2 matrices of pair differences |f_j - f_i|
+    and inverse lag powers ((|i-j|/n))^{-gamma} (diagonal weight 0)."""
+    n, v = f.n, f.values
+    lag = np.abs(np.arange(n + 1)[None, :] - np.arange(n + 1)[:, None]) / n
+    np.fill_diagonal(lag, 1.0)
+    weights = lag**-gamma
+    np.fill_diagonal(weights, 0.0)
+    diff = np.abs(v[None, :] - v[:, None])
+    semi = float(np.max(diff * weights))
+    return HolderReport(sup_norm=float(np.max(np.abs(v))), seminorm=semi, gamma=gamma)
+
+
+def cell_mass_matrix(n: int, hurst: float) -> np.ndarray:
+    """masses[|i-j|], gathered through an n x n lag index array."""
+    lag = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    return kernel_cell_masses(n, hurst)[lag]
+
+
+def fractional_inner_product(phi: GridFunction, psi: GridFunction, hurst: float) -> float:
+    """|H| inner product of cell-midpoint values against the gathered masses."""
+    alpha = hurst * (2.0 * hurst - 1.0)
+    return float(alpha * _midpoints(phi) @ cell_mass_matrix(phi.n, hurst) @ _midpoints(psi))
+
+
+def stratonovich_trace(z, kernel, x: GridFunction, sigma, t: float, hurst: float) -> float:
+    """Trace term of the Stratonovich decomposition: G times the sum over
+    cell pairs of the cell-averaged kernel, K(t, .) sigma'(z) at the column
+    cell's midpoint, and the gathered masses."""
+    n = x.n
+    zm = _midpoints(z.z)
+    phim = 0.25 * (
+        kernel.values[:-1, :-1]
+        + kernel.values[1:, :-1]
+        + kernel.values[:-1, 1:]
+        + kernel.values[1:, 1:]
+    )
+    col = green_kernel(t, _cell_centers(n)) * np.asarray(sigma.d1(zm), dtype=float)
+    return z.cutoff_value * float(np.sum(phim * col[None, :] * cell_mass_matrix(n, hurst)))

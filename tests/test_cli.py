@@ -216,6 +216,13 @@ def test_config_file_accepts_every_key(tmp_path):
     [
         ["malliavin", "--n", "64", "--M", "1000", "--t", "abc"],
         ["convergence", "--kind", "young", "--sizes", "64,x"],
+        # non-finite values are configuration errors too
+        ["solve", "--n", "64", "--M", "nan"],
+        ["solve", "--n", "64", "--M", "inf"],
+        ["solve", "--n", "64", "--tol", "nan"],
+        ["malliavin", "--n", "64", "--M", "1000", "--t", "nan"],
+        ["malliavin", "--n", "64", "--M", "1000", "--t", "inf"],
+        ["density", "--N", "4", "--n", "64", "--a", "nan"],
     ],
 )
 def test_bad_list_flag_is_config_error(tmp_path, argv):

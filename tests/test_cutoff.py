@@ -76,6 +76,25 @@ def test_cutoff_spec_validation():
         CutoffSpec(level=2.0, gamma=0.5, p=2, epsilon=0.3).require_malliavin_regime()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cutoff_spec_rejects_non_finite(bad):
+    with pytest.raises(InvalidInputError):
+        CutoffSpec(level=bad, gamma=0.5, p=2, epsilon=0.3)
+    with pytest.raises(InvalidInputError):
+        CutoffSpec(level=2.0, gamma=0.5, p=2, epsilon=bad)
+    with pytest.raises(InvalidInputError):
+        CutoffSpec(level=2.0, gamma=0.5, p=bad, epsilon=0.3)
+
+
+def test_cutoff_spec_integral_float_p_is_stored_as_int():
+    spec = CutoffSpec(level=2.0, gamma=0.5, p=2.0, epsilon=0.3)
+    assert type(spec.p) is int
+    x = lacunary_path(64, 0.6, phase_seed=1)
+    assert norm_power(x, spec) == norm_power(x, CutoffSpec(level=2.0, gamma=0.5, p=2, epsilon=0.3))
+    with pytest.raises(InvalidInputError):
+        CutoffSpec(level=2.0, gamma=0.5, p=2.5, epsilon=0.3)
+
+
 def test_sobolev_norm_constant_is_zero():
     f = GridFunction(64, np.full(65, 1.3))
     assert sobolev_norm(f, 0.5, 2) == 0.0

@@ -14,6 +14,9 @@ from ellipticsde import (
 )
 from ellipticsde.fbm import _cholesky_factor
 
+import oracles
+from oracles import ORACLE_SIZES, PATH_KINDS, oracle_path
+
 
 def test_covariance_closed_form():
     assert fbm_covariance(1.0, 1.0, 0.6) == pytest.approx(1.0)
@@ -120,3 +123,13 @@ def test_kernel_cell_masses_sum():
     total = masses[lag].sum()
     h2 = 2 * hurst
     assert total == pytest.approx(2.0 / ((h2 - 1) * h2), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_inner_product_equals_gathered_mass_oracle(n):
+    paths = [oracle_path(kind, n) for kind in PATH_KINDS]
+    for hurst in (0.55, 0.75, 0.9):
+        for phi in paths:
+            for psi in paths:
+                expected = oracles.fractional_inner_product(phi, psi, hurst)
+                assert fractional_inner_product(phi, psi, hurst) == expected

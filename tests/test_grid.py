@@ -3,6 +3,9 @@ import pytest
 
 from ellipticsde import GridFunction, InvalidInputError, holder_norm, trapezoid
 
+import oracles
+from oracles import ORACLE_SIZES, PATH_KINDS, oracle_path
+
 
 def test_gridfunction_validation():
     with pytest.raises(InvalidInputError):
@@ -24,6 +27,12 @@ def test_node_index():
     assert f.node_index(0.3) == 3
     with pytest.raises(InvalidInputError):
         f.node_index(0.333)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_node_index_rejects_non_finite(t):
+    with pytest.raises(InvalidInputError):
+        GridFunction.from_callable(lambda s: s, 10).node_index(t)
 
 
 def test_csv_round_trip(tmp_path):
@@ -133,3 +142,11 @@ def test_trapezoid_node_validation():
         trapezoid(f, 0.0, 0.55)
     with pytest.raises(InvalidInputError):
         trapezoid(f, 0.6, 0.2)
+
+
+@pytest.mark.parametrize("kind", PATH_KINDS)
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_holder_sweep_equals_dense_oracle(n, kind):
+    f = oracle_path(kind, n)
+    for gamma in (0.3, 0.55, 0.75, 1.0):
+        assert holder_norm(f, gamma) == oracles.holder_norm(f, gamma)

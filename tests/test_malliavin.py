@@ -14,7 +14,6 @@ from ellipticsde import (
     derivative_norm,
     directional_derivative,
     green_kernel,
-    kernel_cell_masses,
     malliavin_kernel,
     norm_power,
     sample_fbm,
@@ -26,7 +25,13 @@ from ellipticsde import (
     tanh_coefficient,
 )
 from ellipticsde.malliavin import _forcing_matrix
-from oracles import green_weights, picard_kernel
+from oracles import (
+    ORACLE_SIZES,
+    cell_mass_matrix,
+    green_weights,
+    picard_kernel,
+    stratonovich_trace,
+)
 
 INTERIOR = CutoffSpec(level=50.0, gamma=0.5, p=2, epsilon=0.3, flavor="sobolev")
 CFG = SolverConfig(kappa=0.55, tol=1e-12, max_iters=100)
@@ -47,6 +52,12 @@ def test_kernel_validation():
         k.row(0.3)
     with pytest.raises(ValueError):
         k.values[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_kernel_row_rejects_non_finite_t(t):
+    with pytest.raises(InvalidInputError):
+        DerivativeKernel(n=4, values=np.zeros((5, 5))).row(t)
 
 
 def test_forcing_kernel_boundary_and_interior():
@@ -183,8 +194,7 @@ def test_derivative_norm_refined_quadrature():
     m = 4096
     centers = (np.arange(m) + 0.5) / m
     v = np.minimum(t, centers) - t * centers
-    lag = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
-    ref = np.sqrt(hurst * (2 * hurst - 1) * v @ kernel_cell_masses(m, hurst)[lag] @ v)
+    ref = np.sqrt(hurst * (2 * hurst - 1) * v @ cell_mass_matrix(m, hurst) @ v)
     assert val == pytest.approx(ref, rel=0.01)
 
 
@@ -236,8 +246,7 @@ def test_trace_integrability_condition():
         + kernel.values[:-1, 1:]
         + kernel.values[1:, 1:]
     )
-    lag = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    total = np.sum(np.abs(phim) * kernel_cell_masses(n, 0.75)[lag])
+    total = np.sum(np.abs(phim) * cell_mass_matrix(n, 0.75))
     assert np.isfinite(total)
 
 
@@ -336,3 +345,16 @@ def test_band_path_kernel_matches_central_fd(flavor, G):
     minus = solve_elliptic(GridFunction(n, x.values - eps * h.values), sigma, spec, cfg)
     fd = (plus.z.values - minus.z.values) / (2 * eps)
     assert np.max(np.abs(dd - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_strato_trace_equals_gathered_mass_oracle(n):
+    x = sample_fbm(FbmConfig(hurst=0.75, n=n, seed=21))
+    sigma = tanh_coefficient(0.05, 0.02)
+    spec = CutoffSpec(level=1e4, gamma=0.5, p=2, epsilon=0.3)
+    sol = solve_elliptic(x, sigma, spec, CFG)
+    kernel = malliavin_kernel(sol, x, sigma, spec, CFG)
+    t = (n // 2) / n
+    for hurst in (0.55, 0.75, 0.9):
+        st = stratonovich_decomposition(sol, kernel, x, sigma, spec, t, hurst)
+        assert st.trace == stratonovich_trace(sol, kernel, x, sigma, t, hurst)

@@ -35,6 +35,14 @@ def test_solver_config_validation():
         SolverConfig(ball_radius=0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solver_config_rejects_non_finite(bad):
+    with pytest.raises(InvalidInputError):
+        SolverConfig(tol=bad)
+    with pytest.raises(InvalidInputError):
+        SolverConfig(ball_radius=bad)
+
+
 def test_exponent_precondition():
     x = GridFunction.from_callable(lambda t: t, 32)
     sig = constant_coefficient(0.1)
